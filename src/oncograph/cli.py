@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import cohort as co
@@ -34,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def exact_number(text: str) -> Fraction:
+    """A threshold read exactly from its decimal text, never through a float."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
 
 
 def _config_defaults() -> dict:
@@ -162,6 +171,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_cohort(args) -> int:
+    k = args.k
+    if args.metric == "hamming":
+        if k.denominator != 1:
+            print(f"--k {k} must be a whole number for hamming", file=sys.stderr)
+            return EXIT_USAGE
+        k = k.numerator  # int distances compare fastest with an int
     g, _ = _load(args)
     out = _outdir(args)
     try:
@@ -183,7 +198,7 @@ def cmd_cohort(args) -> int:
     )
     profiles = co.profiles_from_graph(g, gene_level=args.granularity == "gene")
     groups = co.group_by_threshold(
-        profiles, metric=args.metric, k=args.k, strategy=args.strategy
+        profiles, metric=args.metric, k=k, strategy=args.strategy
     )
     _write_tsv(
         out / "profile_groups.tsv",
@@ -311,7 +326,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = add("cohort", cmd_cohort, "survival bands and profile-similarity groups")
     p.add_argument("--metric", choices=["hamming", "jaccard"], default="hamming")
-    p.add_argument("--k", type=float, default=cfg.get("k", 0))
+    p.add_argument("--k", type=exact_number, default=str(cfg.get("k", 0)))
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
     p.add_argument("--t-long", type=int, default=cfg.get("t_long", 36))
@@ -330,7 +345,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-short", type=int, default=cfg.get("t_short", 6))
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
-    p.add_argument("--k", type=float, required=True, help="support percentage")
+    p.add_argument("--k", type=exact_number, required=True, help="support percentage")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
 
     p = add("treat", cmd_treat, "optimal drug treatment for target mutations")

@@ -112,8 +112,8 @@ def group_by_threshold(
     ``strategy="components"`` (default) takes connected components of the
     k-threshold graph (distance chains allowed); ``"cliques"`` returns the
     maximal cliques instead (every pair within k; exact enumeration, meant
-    for desk-scale inputs). Groups and their members are ordered by
-    patient id.
+    for desk-scale inputs). Members are ordered by patient id, and groups
+    by their sorted member lists.
     """
     if k < 0:
         raise errors.InvalidThresholds("k must be >= 0")
@@ -141,11 +141,12 @@ def group_by_threshold(
             seen |= comp
             groups.append(sorted(comp))
     elif strategy == "cliques":
-        groups = [sorted(c) for c in _maximal_cliques(adj)]
-        groups.sort(key=lambda g: g[0])
+        # Cliques may share members, so order them by the whole member list:
+        # the search finds them in an order set by the hash seed.
+        groups = sorted(sorted(c) for c in _maximal_cliques(adj))
     else:
         raise ValueError(f"unknown strategy '{strategy}'")
-    return sorted(groups, key=lambda g: g[0])
+    return groups
 
 
 def _maximal_cliques(adj: dict[str, set[str]]):

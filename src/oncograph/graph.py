@@ -7,6 +7,13 @@ edge sets join them: green (patient-mutation, labeled with VAF), red
 No edge joins two nodes of the same partition and the colored sets are
 pairwise disjoint; ``validate`` reports every violation of these rules.
 
+The per-color edge records are the source of truth; ``validate`` reads only
+them, so it also catches records that bypassed ``add_edge``. ``add_edge``
+also files each edge in the one index of its kind, keyed by plain ids:
+patient -> {mutation: vaf} (and mutation -> patients), disease -> patients,
+disease -> {mutation: score}, mutation -> drugs and patient -> drugs.
+Duplicate checks and queries are lookups in these indexes.
+
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
 """
@@ -42,7 +49,7 @@ class Effectiveness(enum.Enum):
     NEGATIVE = "n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatientRecord:
     """A pseudonymized patient with survival period in whole months."""
 
@@ -51,7 +58,7 @@ class PatientRecord:
     alive: bool
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MutationKey:
     """Structured identity of a gene mutation.
 
@@ -68,20 +75,20 @@ class MutationKey:
         return f"{self.gene}_{self.chromosome}_{self.start}_{self.end}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiseaseNode:
     disease_id: str
     display_name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DrugNode:
     drug_id: str
     adverse_effects: str | None = None
     toxicity_weight: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneticEdge:
     """Green patient-mutation edge; vaf is None when the export lacked it."""
 
@@ -90,13 +97,13 @@ class GeneticEdge:
     vaf: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosisEdge:
     disease_id: str
     patient_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreatmentEdge:
     """Red patient-drug edge; drugs in a cocktail share the same order."""
 
@@ -106,14 +113,14 @@ class TreatmentEdge:
     effectiveness: Effectiveness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GdaAssociation:
     disease_id: str
     mutation: MutationKey
     gda_score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetEdge:
     mutation: MutationKey
     drug_id: str
@@ -126,7 +133,7 @@ Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
 NodeRef = tuple[Partition, object]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     category: str
     message: str
@@ -141,7 +148,7 @@ EDGE_SET_OVERLAP = "edge_set_overlap"
 NODE_INVARIANT = "node_invariant"
 
 
-@dataclass
+@dataclass(slots=True)
 class _EdgeRecord:
     """Raw stored edge: declared endpoint refs plus the typed edge object.
 
@@ -154,21 +161,36 @@ class _EdgeRecord:
     edge: Edge
 
 
-# Allowed (ordered) partition pairs per color.
+# Allowed (ordered) partition pairs per color, each numbered so that
+# validate can name an endpoint pair by a plain tuple.
 _ALLOWED_PAIRS = {
-    EdgeColor.GREEN: {(Partition.PATIENT, Partition.MUTATION)},
+    EdgeColor.GREEN: {(Partition.PATIENT, Partition.MUTATION): 0},
     EdgeColor.RED: {
-        (Partition.DISEASE, Partition.PATIENT),
-        (Partition.PATIENT, Partition.DRUG),
+        (Partition.DISEASE, Partition.PATIENT): 1,
+        (Partition.PATIENT, Partition.DRUG): 2,
     },
     EdgeColor.MAGENTA: {
-        (Partition.DISEASE, Partition.MUTATION),
-        (Partition.MUTATION, Partition.DRUG),
+        (Partition.DISEASE, Partition.MUTATION): 3,
+        (Partition.MUTATION, Partition.DRUG): 4,
     },
 }
 
 # Edge types for which at most one edge per endpoint pair may exist.
 _PAIRWISE_UNIQUE = (GeneticEdge, DiagnosisEdge, GdaAssociation, TargetEdge)
+
+# Per color: (partition, partition, index) for each edge kind; the index
+# maps a key of the first partition to the adjacent keys of the second.
+_EDGE_INDEXES = {
+    EdgeColor.GREEN: ((Partition.PATIENT, Partition.MUTATION, "_vaf"),),
+    EdgeColor.RED: (
+        (Partition.DISEASE, Partition.PATIENT, "_diagnosed"),
+        (Partition.PATIENT, Partition.DRUG, "_treated"),
+    ),
+    EdgeColor.MAGENTA: (
+        (Partition.DISEASE, Partition.MUTATION, "_gda"),
+        (Partition.MUTATION, Partition.DRUG, "_targets"),
+    ),
+}
 
 
 class KnowledgeGraph:
@@ -180,14 +202,17 @@ class KnowledgeGraph:
         self._diseases: dict[str, DiseaseNode] = {}
         self._drugs: dict[str, DrugNode] = {}
         self._by_gene: dict[str, set[MutationKey]] = {}
+        self._by_display: dict[str, MutationKey] = {}
         self._records: dict[EdgeColor, list[_EdgeRecord]] = {
             c: [] for c in EdgeColor
         }
-        self._adj: dict[EdgeColor, dict[NodeRef, set[NodeRef]]] = {
-            c: {} for c in EdgeColor
-        }
-        self._vaf: dict[tuple[str, MutationKey], float | None] = {}
-        self._gda: dict[tuple[str, MutationKey], float] = {}
+        # One index per edge kind, filled by add_edge alongside the records.
+        self._vaf: dict[str, dict[MutationKey, float | None]] = {}
+        self._carriers: dict[MutationKey, set[str]] = {}
+        self._diagnosed: dict[str, set[str]] = {}
+        self._gda: dict[str, dict[MutationKey, float]] = {}
+        self._targets: dict[MutationKey, set[str]] = {}
+        self._treated: dict[str, set[str]] = {}
 
     # ------------------------------------------------------------------
     # Nodes
@@ -212,6 +237,7 @@ class KnowledgeGraph:
                 raise errors.InvalidLabel("mutation locus must be >= 0")
             self._mutations[node] = node
             self._by_gene.setdefault(node.gene, set()).add(node)
+            self._by_display.setdefault(node.display(), node)
             return (Partition.MUTATION, node)
         if isinstance(node, DiseaseNode):
             if node.disease_id in self._diseases:
@@ -265,10 +291,11 @@ class KnowledgeGraph:
         return set(self._by_gene.get(gene, ()))
 
     def mutation_by_display(self, text: str) -> MutationKey:
-        for m in self._mutations:
-            if m.display() == text:
-                return m
-        raise errors.UnknownMutation(text)
+        """The first-added mutation whose rendering is ``text``."""
+        try:
+            return self._by_display[text]
+        except KeyError:
+            raise errors.UnknownMutation(text) from None
 
     def partition_sizes(self) -> dict[str, int]:
         return {
@@ -288,32 +315,28 @@ class KnowledgeGraph:
         for out-of-range labels, DuplicateEdge for pairwise-unique types.
         """
         if isinstance(edge, GeneticEdge):
-            self._require_patient(edge.patient_id)
-            self._require_mutation(edge.mutation)
+            pid, mutation = edge.patient_id, edge.mutation
+            self._require_patient(pid)
+            self._require_mutation(mutation)
             if edge.vaf is not None and not 0.0 <= edge.vaf <= 1.0:
                 raise errors.InvalidLabel(f"vaf {edge.vaf} outside [0, 1]")
-            key = (edge.patient_id, edge.mutation)
-            if key in self._vaf:
-                raise errors.DuplicateEdge(
-                    f"genetic edge {edge.patient_id}-{edge.mutation.display()}"
-                )
-            self._vaf[key] = edge.vaf
-            self._store(
-                EdgeColor.GREEN,
-                (Partition.PATIENT, edge.patient_id),
-                (Partition.MUTATION, edge.mutation),
-                edge,
-            )
+            vafs = self._vaf.setdefault(pid, {})
+            if mutation in vafs:
+                raise errors.DuplicateEdge(f"genetic edge {pid}-{mutation.display()}")
+            vafs[mutation] = edge.vaf
+            self._carriers.setdefault(mutation, set()).add(pid)
+            a, b = (Partition.PATIENT, pid), (Partition.MUTATION, mutation)
+            color = EdgeColor.GREEN
         elif isinstance(edge, DiagnosisEdge):
-            self._require_disease(edge.disease_id)
-            self._require_patient(edge.patient_id)
-            a = (Partition.DISEASE, edge.disease_id)
-            b = (Partition.PATIENT, edge.patient_id)
-            if b in self._adj[EdgeColor.RED].get(a, ()):
-                raise errors.DuplicateEdge(
-                    f"diagnosis {edge.disease_id}-{edge.patient_id}"
-                )
-            self._store(EdgeColor.RED, a, b, edge)
+            did, pid = edge.disease_id, edge.patient_id
+            self._require_disease(did)
+            self._require_patient(pid)
+            patients = self._diagnosed.setdefault(did, set())
+            if pid in patients:
+                raise errors.DuplicateEdge(f"diagnosis {did}-{pid}")
+            patients.add(pid)
+            a, b = (Partition.DISEASE, did), (Partition.PATIENT, pid)
+            color = EdgeColor.RED
         elif isinstance(edge, TreatmentEdge):
             self._require_patient(edge.patient_id)
             self._require_drug(edge.drug_id)
@@ -321,47 +344,35 @@ class KnowledgeGraph:
                 raise errors.InvalidLabel("treatment order must be >= 0")
             if not isinstance(edge.effectiveness, Effectiveness):
                 raise errors.InvalidLabel(f"effectiveness {edge.effectiveness!r}")
-            self._store(
-                EdgeColor.RED,
-                (Partition.PATIENT, edge.patient_id),
-                (Partition.DRUG, edge.drug_id),
-                edge,
-            )
+            self._treated.setdefault(edge.patient_id, set()).add(edge.drug_id)
+            a, b = (Partition.PATIENT, edge.patient_id), (Partition.DRUG, edge.drug_id)
+            color = EdgeColor.RED
         elif isinstance(edge, GdaAssociation):
-            self._require_disease(edge.disease_id)
-            self._require_mutation(edge.mutation)
+            did, mutation = edge.disease_id, edge.mutation
+            self._require_disease(did)
+            self._require_mutation(mutation)
             if not 0.0 <= edge.gda_score <= 1.0:
                 raise errors.InvalidLabel(f"gda_score {edge.gda_score} outside [0, 1]")
-            key = (edge.disease_id, edge.mutation)
-            if key in self._gda:
-                raise errors.DuplicateEdge(
-                    f"gda {edge.disease_id}-{edge.mutation.display()}"
-                )
-            self._gda[key] = edge.gda_score
-            self._store(
-                EdgeColor.MAGENTA,
-                (Partition.DISEASE, edge.disease_id),
-                (Partition.MUTATION, edge.mutation),
-                edge,
-            )
+            scores = self._gda.setdefault(did, {})
+            if mutation in scores:
+                raise errors.DuplicateEdge(f"gda {did}-{mutation.display()}")
+            scores[mutation] = edge.gda_score
+            a, b = (Partition.DISEASE, did), (Partition.MUTATION, mutation)
+            color = EdgeColor.MAGENTA
         elif isinstance(edge, TargetEdge):
-            self._require_mutation(edge.mutation)
-            self._require_drug(edge.drug_id)
-            a = (Partition.MUTATION, edge.mutation)
-            b = (Partition.DRUG, edge.drug_id)
-            if b in self._adj[EdgeColor.MAGENTA].get(a, ()):
-                raise errors.DuplicateEdge(
-                    f"target {edge.mutation.display()}-{edge.drug_id}"
-                )
-            self._store(EdgeColor.MAGENTA, a, b, edge)
+            mutation, drug_id = edge.mutation, edge.drug_id
+            self._require_mutation(mutation)
+            self._require_drug(drug_id)
+            drugs = self._targets.setdefault(mutation, set())
+            if drug_id in drugs:
+                raise errors.DuplicateEdge(f"target {mutation.display()}-{drug_id}")
+            drugs.add(drug_id)
+            a, b = (Partition.MUTATION, mutation), (Partition.DRUG, drug_id)
+            color = EdgeColor.MAGENTA
         else:
             raise TypeError(f"unsupported edge type {type(edge).__name__}")
-        return edge
-
-    def _store(self, color: EdgeColor, a: NodeRef, b: NodeRef, edge: Edge) -> None:
         self._records[color].append(_EdgeRecord(a, b, edge))
-        self._adj[color].setdefault(a, set()).add(b)
-        self._adj[color].setdefault(b, set()).add(a)
+        return edge
 
     def _require_patient(self, pid: str) -> None:
         if pid not in self._patients:
@@ -411,42 +422,43 @@ class KnowledgeGraph:
             colors = tuple(EdgeColor)
         elif isinstance(colors, EdgeColor):
             colors = (colors,)
+        part, key = ref
         out: set[NodeRef] = set()
-        for c in colors:
-            out |= self._adj[c].get(ref, set())
+        for color in colors:
+            for first, second, name in _EDGE_INDEXES[color]:
+                index = getattr(self, name)
+                if part is first:
+                    out.update((second, k) for k in index.get(key, ()))
+                elif part is second:  # reverse direction: scan the index
+                    out.update((first, k) for k, adj in index.items() if key in adj)
         return out
 
     def mutations_of_patient(self, patient_id: str) -> set[MutationKey]:
-        refs = self.neighbors((Partition.PATIENT, patient_id), EdgeColor.GREEN)
-        return {key for part, key in refs if part is Partition.MUTATION}
+        self.patient(patient_id)
+        return set(self._vaf.get(patient_id, ()))
 
     def patients_with_mutation(self, mutation: MutationKey) -> set[str]:
         if mutation not in self._mutations:
             raise errors.UnknownMutation(mutation.display())
-        refs = self.neighbors((Partition.MUTATION, mutation), EdgeColor.GREEN)
-        return {key for part, key in refs if part is Partition.PATIENT}
+        return set(self._carriers.get(mutation, ()))
 
     def patients_of_disease(self, disease_id: str) -> set[str]:
         self.disease(disease_id)
-        refs = self.neighbors((Partition.DISEASE, disease_id), EdgeColor.RED)
-        return {key for part, key in refs if part is Partition.PATIENT}
+        return set(self._diagnosed.get(disease_id, ()))
 
     def gda_scores(self, disease_id: str) -> dict[MutationKey, float]:
         """Magenta disease-mutation neighbors of d with their scores."""
         self.disease(disease_id)
-        return {
-            m: s for (d, m), s in self._gda.items() if d == disease_id
-        }
+        return dict(self._gda.get(disease_id, {}))
 
     def target_drugs(self, mutation: MutationKey) -> set[str]:
         """Drugs with a known effect on the mutation (magenta neighbors)."""
         if mutation not in self._mutations:
             raise errors.UnknownMutation(mutation.display())
-        refs = self.neighbors((Partition.MUTATION, mutation), EdgeColor.MAGENTA)
-        return {key for part, key in refs if part is Partition.DRUG}
+        return set(self._targets.get(mutation, ()))
 
     def vaf(self, patient_id: str, mutation: MutationKey) -> float | None:
-        return self._vaf[(patient_id, mutation)]
+        return self._vaf[patient_id][mutation]
 
 
 def downgrade_to_gene(mutation: MutationKey) -> str:
@@ -481,10 +493,15 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
                 Violation(NODE_INVARIANT, f"drug {dr.drug_id}: negative weight")
             )
 
-    sound: list[tuple[EdgeColor, _EdgeRecord]] = []
+    # A sound record's endpoint pair is one plain tuple: the number of its
+    # partition pair, then its keys in that pair's order. Repeated pairs are
+    # reported after all per-record violations.
+    first_color: dict[tuple, EdgeColor] = {}
+    repeats: list[Violation] = []
     for color in EdgeColor:
+        allowed = _ALLOWED_PAIRS[color]
         for rec in graph.edge_records(color):
-            pa, pb = rec.a[0], rec.b[0]
+            (pa, ka), (pb, kb) = rec.a, rec.b
             if pa == pb:
                 out.append(
                     Violation(
@@ -493,9 +510,12 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
                     )
                 )
                 continue
-            if (pa, pb) not in _ALLOWED_PAIRS[color] and (pb, pa) not in _ALLOWED_PAIRS[
-                color
-            ]:
+            kind = allowed.get((pa, pb))
+            pair = (kind, ka, kb)
+            if kind is None:
+                kind = allowed.get((pb, pa))
+                pair = (kind, kb, ka)
+            if kind is None:
                 out.append(
                     Violation(
                         PARTITION_VIOLATION,
@@ -515,26 +535,21 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
             if label_issue:
                 out.append(Violation(LABEL_OUT_OF_RANGE, label_issue))
                 continue
-            sound.append((color, rec))
-
-    seen_pairs: dict[frozenset, EdgeColor] = {}
-    for color, rec in sound:
-        pair = frozenset((rec.a, rec.b))
-        prev = seen_pairs.get(pair)
-        if prev is None:
-            seen_pairs[pair] = color
-        elif prev != color:
-            out.append(
-                Violation(
-                    EDGE_SET_OVERLAP,
-                    f"pair {_pair_text(rec)} appears in both {prev.value} and {color.value}",
+            prev = first_color.get(pair)
+            if prev is None:
+                first_color[pair] = color
+            elif prev != color:
+                repeats.append(
+                    Violation(
+                        EDGE_SET_OVERLAP,
+                        f"pair {_pair_text(rec)} appears in both {prev.value} and {color.value}",
+                    )
                 )
-            )
-        elif isinstance(rec.edge, _PAIRWISE_UNIQUE):
-            out.append(
-                Violation(DUPLICATE_EDGE, f"duplicate {color.value} edge {_pair_text(rec)}")
-            )
-    return out
+            elif isinstance(rec.edge, _PAIRWISE_UNIQUE):
+                repeats.append(
+                    Violation(DUPLICATE_EDGE, f"duplicate {color.value} edge {_pair_text(rec)}")
+                )
+    return out + repeats
 
 
 def _pair_text(rec: _EdgeRecord) -> str:

@@ -50,11 +50,6 @@ class TreatmentSolution:
     hits: Mapping[MutationKey, frozenset[str]]
 
 
-def drugs_for_mutation(graph: KnowledgeGraph, mutation: MutationKey) -> set[str]:
-    """Drugs with a known effect on the mutation."""
-    return graph.target_drugs(mutation)
-
-
 def build_instance(
     graph: KnowledgeGraph,
     patient_id: str,
@@ -75,7 +70,7 @@ def build_instance(
             raise errors.NotPatientMutation(
                 f"{m.display()} is not a mutation of patient {patient_id}"
             )
-        drugs = drugs_for_mutation(graph, m)
+        drugs = graph.target_drugs(m)
         if not drugs:
             raise errors.Untargetable(m.display())
         family.append(frozenset(drugs))

@@ -70,7 +70,7 @@ _OPTIONAL = {
 _VAF_SENTINELS = {"", "na", "nan", "n/a", "unknown", "."}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEntry:
     file: str
     line: int
@@ -78,7 +78,7 @@ class ReportEntry:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MutationTableRow:
     sample_id: str
     gene: str
@@ -88,7 +88,7 @@ class MutationTableRow:
     vaf: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClinicalTableRow:
     sample_id: str
     cancer_type: str
@@ -96,14 +96,14 @@ class ClinicalTableRow:
     vital_status: str  # "living" | "deceased"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GdaTableRow:
     gene: str
     disease: str
     gda_score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DrugTargetTableRow:
     drug_id: str
     gene: str
@@ -111,7 +111,7 @@ class DrugTargetTableRow:
     adverse_effects: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreatmentTableRow:
     sample_id: str
     drug_id: str
@@ -309,7 +309,6 @@ def build_graph(
     gda_rows: Iterable[GdaTableRow],
     drug_rows: Iterable[DrugTargetTableRow],
     treatment_rows: Iterable[TreatmentTableRow] | None = None,
-    expand_gene_associations: bool = True,
 ) -> tuple[KnowledgeGraph, list[ReportEntry]]:
     """Assemble a validated knowledge graph from parsed rows.
 
@@ -341,32 +340,37 @@ def build_graph(
             graph.add_node(DiseaseNode(row.cancer_type, row.cancer_type))
         graph.add_edge(DiagnosisEdge(row.cancer_type, row.sample_id))
 
-    # Collapse duplicate (patient, mutation) rows keeping the max VAF
-    # (None sorts below any number).
-    best: dict[tuple[str, MutationKey], float | None] = {}
+    # Collapse duplicate (patient, mutation) rows keeping the max VAF (None
+    # sorts below any number). Rows are keyed by plain (sample, gene,
+    # chromosome, start, end) tuples, which order as (sample, MutationKey).
+    best: dict[tuple[str, str, str, int, int], float | None] = {}
     orphans = 0
     for row in mutation_rows:
         if row.sample_id not in graph.patients:
             orphans += 1
             note("warning", f"orphan mutation row: unknown sample {row.sample_id}")
             continue
-        key = (row.sample_id, MutationKey(row.gene, row.chromosome, row.start, row.end))
+        key = (row.sample_id, row.gene, row.chromosome, row.start, row.end)
         if key in best:
             note(
                 "info",
-                f"duplicate mutation row for {row.sample_id}/{key[1].display()}; max VAF kept",
+                f"duplicate mutation row for {row.sample_id}/"
+                f"{MutationKey(*key[1:]).display()}; max VAF kept",
             )
             prev = best[key]
             if prev is None or (row.vaf is not None and row.vaf > prev):
                 best[key] = row.vaf
         else:
             best[key] = row.vaf
-    for (sample_id, mutation), vaf in sorted(
-        best.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        if mutation not in graph.mutations:
+    # One MutationKey per locus, shared by all of its edges.
+    interned: dict[tuple[str, str, int, int], MutationKey] = {}
+    for key in sorted(best):
+        locus = key[1:]
+        mutation = interned.get(locus)
+        if mutation is None:
+            mutation = interned[locus] = MutationKey(*locus)
             graph.add_node(mutation)
-        graph.add_edge(GeneticEdge(sample_id, mutation, vaf))
+        graph.add_edge(GeneticEdge(key[0], mutation, best[key]))
 
     gda_best: dict[tuple[str, str], float] = {}
     for row in gda_rows:
@@ -379,9 +383,6 @@ def build_graph(
     for (disease, gene), score in sorted(gda_best.items()):
         if disease not in graph.diseases:
             graph.add_node(DiseaseNode(disease, disease))
-        if not expand_gene_associations:
-            note("info", f"gene association {gene}/{disease} not expanded (flag off)")
-            continue
         matches = graph.mutations_of_gene(gene)
         if not matches:
             note("info", f"gda row {gene}/{disease}: no mutation node on gene {gene}")
@@ -415,8 +416,6 @@ def build_graph(
                 ),
             )
         )
-        if not expand_gene_associations:
-            continue
         targeted = set()
         for gene in drug_genes[drug_id]:
             matches = graph.mutations_of_gene(gene)

@@ -49,31 +49,6 @@ class ConsistencyVerdict:
     coverage_violations: frozenset     # known but absent even from the union
 
 
-def patients_of(graph: KnowledgeGraph, disease_id: str) -> set[str]:
-    """Patients diagnosed with the disease (red neighborhood in Pa)."""
-    return graph.patients_of_disease(disease_id)
-
-
-def mutation_union(graph: KnowledgeGraph, disease_id: str) -> set[MutationKey]:
-    """Mutations affecting at least one diagnosed patient; empty cohort -> empty."""
-    out: set[MutationKey] = set()
-    for pid in graph.patients_of_disease(disease_id):
-        out |= graph.mutations_of_patient(pid)
-    return out
-
-
-def mutation_intersection(graph: KnowledgeGraph, disease_id: str) -> set[MutationKey]:
-    """Mutations affecting every diagnosed patient; empty cohort -> empty."""
-    cohort = graph.patients_of_disease(disease_id)
-    common: set[MutationKey] | None = None
-    for pid in cohort:
-        muts = graph.mutations_of_patient(pid)
-        common = muts if common is None else common & muts
-        if not common:
-            break
-    return common or set()
-
-
 def known_mutations(
     graph: KnowledgeGraph, disease_id: str, gda_threshold: float = DEFAULT_GDA_THRESHOLD
 ) -> set[MutationKey]:

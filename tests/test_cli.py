@@ -1,9 +1,12 @@
+import os
+import subprocess
+import sys
 
 import pytest
 
 from oncograph import cli
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 
 
 def run(argv):
@@ -109,3 +112,72 @@ class TestTreat:
             "--patient", "NOPE", "--targets", "KRAS_12_25398284_25398284",
         ]
         assert run(["treat"] + args) == 3
+
+
+def write_inputs(tmp_path, patients, mutations):
+    """Inputs with ``patients`` (ids) and ``mutations`` (sample, gene) rows;
+    each gene has one locus. The GDA and drug tables are empty."""
+    clinical = tmp_path / "clinical.tsv"
+    clinical.write_text(
+        "sample_id\tcancer_type\tos_months\tos_status\n"
+        + "".join(f"{pid}\tLUAD\t12\tliving\n" for pid in patients)
+    )
+    muts = tmp_path / "mutations.tsv"
+    muts.write_text(
+        "sample_id\tgene\tchromosome\tstart_position\tend_position\tvaf\n"
+        + "".join(f"{pid}\t{gene}\t1\t100\t100\t0.5\n" for pid, gene in mutations)
+    )
+    gda = tmp_path / "gda.tsv"
+    gda.write_text("gene\tdisease\tgda_score\n")
+    drugs = tmp_path / "drugs.tsv"
+    drugs.write_text("drug\tgene\n")
+    return fixture_args(
+        tmp_path / "out", mutations=muts, clinical=clinical, gda=gda, drugs=drugs
+    )
+
+
+class TestExactThresholds:
+    def test_jaccard_k_joins_pair_at_exactly_k(self, tmp_path):
+        # |a ^ b| = 3 and |a | b| = 10: distance exactly 3/10.
+        genes = [f"G{i}" for i in range(10)]
+        rows = [("P1", g) for g in genes] + [("P2", g) for g in genes[:7]]
+        args = write_inputs(tmp_path, ["P1", "P2"], rows)
+        assert run(["cohort", "--metric", "jaccard", "--k", "0.3"] + args) == 0
+        assert (tmp_path / "out" / "profile_groups.tsv").read_text() == (
+            "group\tsize\tpatients\n1\t2\tP1,P2\n"
+        )
+
+    def test_coexist_keeps_item_at_exactly_k_percent(self, tmp_path):
+        patients = [f"P{i:04d}" for i in range(1000)]
+        args = write_inputs(tmp_path, patients, [("P0000", "KRAS")])
+        assert run(["coexist", "--k", "0.1"] + args) == 0
+        assert (tmp_path / "out" / "coexisting_sets.tsv").read_text().splitlines()[1:] == [
+            "KRAS_1_100_100\t0.1\t1\tP0000"
+        ]
+
+    @pytest.mark.parametrize("k", ["2.5", "0.3", "abc", "1/0"])
+    def test_hamming_rejects_non_integer_k(self, tmp_path, k, capsys):
+        assert run(["cohort", "--metric", "hamming", "--k", k] + fixture_args(tmp_path)) == 64
+        capsys.readouterr()
+
+
+def test_cliques_byte_identical_across_hash_seeds(tmp_path):
+    # Hamming k=1 cliques {P0,P1,P4}, {P0,P2}, {P2,P3}; the clique search
+    # meets the two led by P0 in an order that follows the hash seed.
+    rows = [("P0", "M3"), ("P0", "M4"), ("P1", "M3"), ("P2", "M4"),
+            ("P3", "M1"), ("P3", "M4"), ("P4", "M3")]
+    args = write_inputs(tmp_path, [f"P{i}" for i in range(5)], rows)
+    outputs = set()
+    for seed in range(1, 5):
+        out = tmp_path / f"seed{seed}"
+        argv = [a if a != str(tmp_path / "out") else str(out) for a in args]
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(REPO / "src"))
+        subprocess.run(
+            [sys.executable, "-m", "oncograph.cli", "cohort", "--k", "1",
+             "--strategy", "cliques", *argv],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.add((out / "profile_groups.tsv").read_bytes())
+    assert outputs == {
+        b"group\tsize\tpatients\n1\t3\tP0,P1,P4\n2\t2\tP0,P2\n3\t2\tP2,P3\n"
+    }

@@ -103,6 +103,22 @@ class TestGrouping:
         groups = group_by_threshold([p1, p2, p3], "hamming", 5, strategy="cliques")
         assert groups == [["P1", "P2"], ["P2", "P3"]]
 
+    def test_cliques_sharing_a_leader_in_member_order(self):
+        # Hamming k=1 cliques {P0,P1,P4}, {P0,P2}, {P2,P3}: the search finds
+        # the two led by P0 in an order set by the hash seed.
+        ps = [
+            prof("P0", "m3", "m4"), prof("P1", "m3"), prof("P2", "m4"),
+            prof("P3", "m1", "m4"), prof("P4", "m3"),
+        ]
+        groups = group_by_threshold(ps, "hamming", 1, strategy="cliques")
+        assert groups == [["P0", "P1", "P4"], ["P0", "P2"], ["P2", "P3"]]
+
+    def test_jaccard_threshold_is_inclusive_and_exact(self):
+        a = prof("P1", *"abcdefghij")
+        b = prof("P2", *"abcdefg")
+        assert jaccard_distance(a, b) == Fraction(3, 10)
+        assert group_by_threshold([a, b], "jaccard", Fraction("0.3")) == [["P1", "P2"]]
+
     def test_output_is_partition(self):
         rng = random.Random(23)
         for _ in range(20):

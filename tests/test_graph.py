@@ -7,6 +7,7 @@ from oncograph import (
     DiseaseNode,
     DrugNode,
     EdgeColor,
+    Effectiveness,
     GdaAssociation,
     GeneticEdge,
     KnowledgeGraph,
@@ -14,6 +15,7 @@ from oncograph import (
     Partition,
     PatientRecord,
     TargetEdge,
+    TreatmentEdge,
     downgrade_to_gene,
     errors,
     validate,
@@ -81,6 +83,106 @@ class TestAddEdge:
         g.add_edge(GeneticEdge("P1", KRAS_MUT, 0.3))
         with pytest.raises(errors.DuplicateEdge):
             g.add_edge(GeneticEdge("P1", KRAS_MUT, 0.4))
+
+
+class TestDuplicateEdges:
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            GeneticEdge("P1", KRAS_MUT, 0.3),
+            DiagnosisEdge("D1", "P1"),
+            GdaAssociation("D1", KRAS_MUT, 0.9),
+            TargetEdge(KRAS_MUT, "drugA"),
+        ],
+    )
+    def test_pairwise_unique_kinds_reject_repeat(self, edge):
+        g = small_graph()
+        g.add_edge(edge)
+        with pytest.raises(errors.DuplicateEdge):
+            g.add_edge(edge)
+        assert sum(len(g.edge_records(c)) for c in EdgeColor) == 1
+
+    def test_treatment_repeats_across_lines(self):
+        g = small_graph()
+        g.add_edge(TreatmentEdge("P1", "drugA", 1, Effectiveness.REDUCED))
+        g.add_edge(TreatmentEdge("P1", "drugA", 3, Effectiveness.POSITIVE))
+        assert len(g.edge_records(EdgeColor.RED)) == 2
+        assert g.neighbors((Partition.PATIENT, "P1"), EdgeColor.RED) == {
+            (Partition.DRUG, "drugA")
+        }
+        assert validate(g) == []
+
+
+def brute_force_neighbors(g, ref, color):
+    out = set()
+    for rec in g.edge_records(color):
+        if rec.a == ref:
+            out.add(rec.b)
+        if rec.b == ref:
+            out.add(rec.a)
+    return out
+
+
+def add_random_treatments(g, rng):
+    for pid in g.patients:
+        for order in range(rng.randint(0, 2)):
+            drug = rng.choice(sorted(g.drugs))
+            g.add_edge(TreatmentEdge(pid, drug, order, rng.choice(list(Effectiveness))))
+
+
+class TestIndexesMatchRecords:
+    """Every query equals a recomputation from the raw edge records."""
+
+    def test_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(25):
+            g = random_graph(rng, max_nodes=40)
+            add_random_treatments(g, rng)
+            green = [r.edge for r in g.edge_records(EdgeColor.GREEN)]
+            magenta = [r.edge for r in g.edge_records(EdgeColor.MAGENTA)]
+            red = [r.edge for r in g.edge_records(EdgeColor.RED)]
+            refs = (
+                [(Partition.PATIENT, p) for p in g.patients]
+                + [(Partition.MUTATION, m) for m in g.mutations]
+                + [(Partition.DISEASE, d) for d in g.diseases]
+                + [(Partition.DRUG, d) for d in g.drugs]
+            )
+            for ref in refs:
+                every = set()
+                for color in EdgeColor:
+                    want = brute_force_neighbors(g, ref, color)
+                    assert g.neighbors(ref, color) == want
+                    every |= want
+                assert g.neighbors(ref) == every
+            for pid in g.patients:
+                assert g.mutations_of_patient(pid) == {
+                    e.mutation for e in green if e.patient_id == pid
+                }
+            for e in green:
+                assert g.vaf(e.patient_id, e.mutation) == e.vaf
+            for m in g.mutations:
+                assert g.patients_with_mutation(m) == {
+                    e.patient_id for e in green if e.mutation == m
+                }
+                assert g.target_drugs(m) == {
+                    e.drug_id for e in magenta
+                    if isinstance(e, TargetEdge) and e.mutation == m
+                }
+                assert g.mutation_by_display(m.display()) is g._mutations[m]
+            for d in g.diseases:
+                assert g.patients_of_disease(d) == {
+                    e.patient_id for e in red
+                    if isinstance(e, DiagnosisEdge) and e.disease_id == d
+                }
+                assert g.gda_scores(d) == {
+                    e.mutation: e.gda_score for e in magenta
+                    if isinstance(e, GdaAssociation) and e.disease_id == d
+                }
+            assert validate(g) == []
+
+    def test_unknown_display(self):
+        with pytest.raises(errors.UnknownMutation):
+            small_graph().mutation_by_display("KRAS_12_1_1")
 
 
 class TestNeighbors:

@@ -41,11 +41,11 @@ def target_graph():
 class TestInstanceConstruction:
     def test_drugs_for_mutation(self):
         g = target_graph()
-        assert hs.drugs_for_mutation(g, M1) == {"d1", "d2"}
+        assert g.target_drugs(M1) == {"d1", "d2"}
 
     def test_drugs_for_untargeted_mutation(self):
         g = target_graph()
-        assert hs.drugs_for_mutation(g, M3) == set()
+        assert g.target_drugs(M3) == set()
 
     def test_build_instance_shape(self):
         g = target_graph()

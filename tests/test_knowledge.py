@@ -42,40 +42,41 @@ M2 = make_mutation("TP53", 200)
 M3 = make_mutation("EGFR", 300)
 
 
+def evidence_of(g, disease="D1"):
+    evidence, _ = knowledge.check_consistency(g, disease, granularity=Granularity.MUTATION)
+    return evidence
+
+
 class TestSetOperations:
     def test_patients_of_empty(self):
         g = graph_with({})
-        assert knowledge.patients_of(g, "D1") == set()
+        assert g.patients_of_disease("D1") == set()
 
     def test_patients_of_fixture(self):
         g = graph_with({"P1": [M1], "P2": [M2]})
         g.add_node(DiseaseNode("D2", "D2"))
         g.add_node(PatientRecord("P3", 5, False))
         g.add_edge(DiagnosisEdge("D2", "P3"))
-        assert knowledge.patients_of(g, "D1") == {"P1", "P2"}
+        assert g.patients_of_disease("D1") == {"P1", "P2"}
 
     def test_union_intersection_fixture(self):
-        g = graph_with({"P1": [M1, M2], "P2": [M2]})
-        assert knowledge.mutation_union(g, "D1") == {M1, M2}
-        assert knowledge.mutation_intersection(g, "D1") == {M2}
+        evidence = evidence_of(graph_with({"P1": [M1, M2], "P2": [M2]}))
+        assert evidence.union_mutations == {M1, M2}
+        assert evidence.common_mutations == {M2}
 
     def test_empty_cohort_convention(self):
-        g = graph_with({})
-        assert knowledge.mutation_union(g, "D1") == set()
-        assert knowledge.mutation_intersection(g, "D1") == set()
+        evidence = evidence_of(graph_with({}))
+        assert evidence.union_mutations == set()
+        assert evidence.common_mutations == set()
 
     def test_unknown_disease(self):
         g = graph_with({})
         with pytest.raises(errors.UnknownDisease):
-            knowledge.patients_of(g, "NOPE")
+            g.patients_of_disease("NOPE")
 
     def test_single_patient_union_equals_intersection(self):
-        g = graph_with({"P1": [M1, M3]})
-        assert (
-            knowledge.mutation_union(g, "D1")
-            == knowledge.mutation_intersection(g, "D1")
-            == {M1, M3}
-        )
+        evidence = evidence_of(graph_with({"P1": [M1, M3]}))
+        assert evidence.union_mutations == evidence.common_mutations == {M1, M3}
 
 
 class TestKnownMutations:
