@@ -21,7 +21,6 @@ from .graph import (
     PatientRecord,
     TargetEdge,
     TreatmentEdge,
-    downgrade_to_gene,
     validate,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "Partition",
     "EdgeColor",
     "Effectiveness",
-    "downgrade_to_gene",
     "validate",
     "cohort",
     "errors",

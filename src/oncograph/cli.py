@@ -172,6 +172,9 @@ def cmd_check(args) -> int:
 
 def cmd_cohort(args) -> int:
     k = args.k
+    if k < 0:
+        print(f"--k {k} must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     if args.metric == "hamming":
         if k.denominator != 1:
             print(f"--k {k} must be a whole number for hamming", file=sys.stderr)

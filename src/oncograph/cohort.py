@@ -1,6 +1,12 @@
 """Patient-cohort analytics: profile distances, grouping, survival bands,
 maximal coexisting-mutation sets, and the frequency/co-mutation tables.
 
+All of them read one profile layer: ``profiles_from_graph`` turns each
+patient's green edges into a ``MutationProfile``, a frozenset of items that
+are MutationKeys, or gene symbols at gene level. It is the only code that
+builds per-patient item sets and the only place a mutation is downgraded to
+its gene; the knowledge check reads its cohort's profiles from it too.
+
 Percentages are carried as exact Fractions and rounded half-up to one
 decimal only when rendered, so table comparisons are reproducible.
 """
@@ -9,12 +15,13 @@ from __future__ import annotations
 
 import decimal
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import errors
-from .graph import KnowledgeGraph, MutationKey, downgrade_to_gene
+from .graph import KnowledgeGraph, MutationKey
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,17 @@ def profiles_from_graph(
     patient_ids=None,
     gene_level: bool = False,
 ) -> list[MutationProfile]:
-    """Extract mutation profiles, optionally downgraded to gene symbols."""
+    """Profiles of the given patients (default: all), ordered by patient id.
+
+    At gene level each mutation is downgraded to its gene symbol, so two
+    mutations of one gene make a single item.
+    """
     if patient_ids is None:
         patient_ids = graph.patients.keys()
     out = []
     for pid in sorted(patient_ids):
         muts = graph.mutations_of_patient(pid)
-        if gene_level:
-            items = frozenset(downgrade_to_gene(m) for m in muts)
-        else:
-            items = frozenset(muts)
+        items = frozenset(m.gene for m in muts) if gene_level else frozenset(muts)
         out.append(MutationProfile(pid, items))
     return out
 
@@ -103,7 +111,7 @@ _METRICS = {"hamming": hamming_distance, "jaccard": jaccard_distance}
 
 def group_by_threshold(
     profiles: list[MutationProfile],
-    metric="hamming",
+    metric: str = "hamming",
     k=0,
     strategy: str = "components",
 ) -> list[list[str]]:
@@ -117,7 +125,7 @@ def group_by_threshold(
     """
     if k < 0:
         raise errors.InvalidThresholds("k must be >= 0")
-    dist = _METRICS[metric] if isinstance(metric, str) else metric
+    dist = _METRICS[metric]
     ids = [p.patient_id for p in profiles]
     adj: dict[str, set[str]] = {pid: set() for pid in ids}
     for a, b in combinations(profiles, 2):
@@ -193,8 +201,11 @@ def coexisting_mutation_sets(
 ) -> list[CoexistenceSet]:
     """Maximal mutation sets carried simultaneously by >= k% of patients.
 
-    Level-wise enumeration over tidsets with support-based pruning
-    (anti-monotonicity), then an inclusion-maximality filter.
+    Depth-first search over tidsets (Eclat; Zaki, TKDE 2000): a set grows
+    only by frequent items that sort after its last one, so each frequent
+    set is reached once. A set is kept when no frequent item outside it,
+    earlier or later, can join it at the minimum support (GenMax; Gouda &
+    Zaki, ICDM 2001).
     """
     k = Fraction(k_percent)
     if not 0 < k <= 100:
@@ -202,47 +213,38 @@ def coexisting_mutation_sets(
     n = len(profiles)
     if n == 0:
         return []
-    by_pid = {p.patient_id: p.mutations for p in profiles}
 
     # Smallest patient count whose percentage reaches k.
     min_count = -(-(k * n) // 100)  # ceil(k*n/100)
 
-    tidsets: dict[frozenset, frozenset[str]] = {}
-    for pid, items in by_pid.items():
-        for item in items:
-            key = frozenset([item])
-            tidsets[key] = tidsets.get(key, frozenset()) | {pid}
-    level = {s: t for s, t in tidsets.items() if len(t) >= min_count}
-    frequent: dict[frozenset, frozenset[str]] = dict(level)
-    while level:
-        nxt: dict[frozenset, frozenset[str]] = {}
-        keys = sorted(level, key=lambda s: sorted(item_id(i) for i in s))
-        for i, s1 in enumerate(keys):
-            for s2 in keys[i + 1 :]:
-                union = s1 | s2
-                if len(union) != len(s1) + 1 or union in nxt:
-                    continue
-                # Anti-monotone prune: every subset one smaller must be frequent.
-                if any(union - {it} not in level for it in union):
-                    continue
-                supp = level[s1] & level[s2]
-                if len(supp) >= min_count:
-                    nxt[union] = supp
-        frequent.update(nxt)
-        level = nxt
+    tidsets: dict[object, set[str]] = {}
+    for p in profiles:
+        for item in p.mutations:
+            tidsets.setdefault(item, set()).add(p.patient_id)
+    items = sorted((i for i, t in tidsets.items() if len(t) >= min_count), key=item_id)
 
-    maximal = [
-        s for s in frequent
-        if not any(s < other for other in frequent)
-    ]
-    out = [
-        CoexistenceSet(
-            mutations=s,
-            support_percent=Fraction(100 * len(frequent[s]), n),
-            supporting_patients=frequent[s],
+    out = []
+    stack = [((), {p.patient_id for p in profiles}, 0)]
+    while stack:
+        chosen, tids, start = stack.pop()
+        grown = False
+        for j in range(start, len(items)):
+            supp = tids & tidsets[items[j]]
+            if len(supp) >= min_count:
+                stack.append((chosen + (items[j],), supp, j + 1))
+                grown = True
+        # A set no later item grew is maximal unless an earlier item can join it.
+        if grown or not chosen or any(
+            len(tids & tidsets[i]) >= min_count for i in items[:start] if i not in chosen
+        ):
+            continue
+        out.append(
+            CoexistenceSet(
+                mutations=frozenset(chosen),
+                support_percent=Fraction(100 * len(tids), n),
+                supporting_patients=frozenset(tids),
+            )
         )
-        for s in maximal
-    ]
     out.sort(key=lambda c: (-c.support_percent, sorted(item_id(i) for i in c.mutations)))
     return out
 
@@ -263,20 +265,17 @@ def frequency_table(
     """
     if not profiles:
         raise errors.EmptyPopulation("no profiles")
-    counts: dict[str, int] = {}
     if mode is FrequencyMode.GENE_WITHOUT_MULTIPLICITY:
         denominator = len(profiles)
-        for p in profiles:
-            for gene in {_gene_of(item) for item in p.mutations}:
-                counts[gene] = counts.get(gene, 0) + 1
+        counts = Counter(g for p in profiles for g in {_gene_of(i) for i in p.mutations})
     else:
         denominator = sum(len(p.mutations) for p in profiles)
         if denominator == 0:
             raise errors.EmptyPopulation("profiles carry no mutations")
-        for p in profiles:
-            for item in p.mutations:
-                key = item_id(item) if mode is FrequencyMode.MUTATION else _gene_of(item)
-                counts[key] = counts.get(key, 0) + 1
+        name = item_id if mode is FrequencyMode.MUTATION else _gene_of
+        counts = Counter()
+        for item, c in Counter(i for p in profiles for i in p.mutations).items():
+            counts[name(item)] += c
     rows = sorted(
         ((name, Fraction(100 * c, denominator)) for name, c in counts.items()),
         key=lambda r: (-r[1], r[0]),
@@ -287,7 +286,7 @@ def frequency_table(
 
 
 def _gene_of(item) -> str:
-    return downgrade_to_gene(item) if isinstance(item, MutationKey) else str(item)
+    return item.gene if isinstance(item, MutationKey) else str(item)
 
 
 @dataclass(frozen=True)
@@ -312,22 +311,18 @@ def co_mutation_survival_table(
     for gene in gene_pair:
         if not graph.mutations_of_gene(gene):
             raise errors.UnknownGene(gene)
-    gene_sets: dict[str, set[str]] = {}
-    for pid in graph.patients:
-        genes = {downgrade_to_gene(m) for m in graph.mutations_of_patient(pid)}
-        gene_sets[pid] = genes
-    cohort = sorted(
-        pid for pid, genes in gene_sets.items()
-        if gene_pair[0] in genes and gene_pair[1] in genes
-    )
+    cohort = [
+        p for p in profiles_from_graph(graph, gene_level=True)
+        if gene_pair[0] in p.mutations and gene_pair[1] in p.mutations
+    ]
     if not cohort:
         raise errors.EmptyPopulation(
             f"no patient has both {gene_pair[0]} and {gene_pair[1]} mutated"
         )
     carriers: dict[str, list[str]] = {}
-    for pid in cohort:
-        for gene in gene_sets[pid]:
-            carriers.setdefault(gene, []).append(pid)
+    for p in cohort:
+        for gene in p.mutations:
+            carriers.setdefault(gene, []).append(p.patient_id)
     rows = []
     for gene in carriers:
         pids = carriers[gene]

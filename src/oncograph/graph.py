@@ -218,40 +218,28 @@ class KnowledgeGraph:
     # Nodes
 
     def add_node(self, node) -> NodeRef:
-        """Insert a node into its partition; raises DuplicateNode on id reuse."""
+        """Insert a node into its partition; raises DuplicateNode on id reuse
+        and InvalidLabel when the node breaks a rule of its partition."""
         if isinstance(node, PatientRecord):
-            if node.patient_id in self._patients:
-                raise errors.DuplicateNode(f"patient {node.patient_id}")
-            if node.survival_months < 0:
-                raise errors.InvalidLabel("survival_months must be >= 0")
-            self._patients[node.patient_id] = node
-            return (Partition.PATIENT, node.patient_id)
-        if isinstance(node, MutationKey):
-            if node in self._mutations:
-                raise errors.DuplicateNode(f"mutation {node.display()}")
-            if not node.gene:
-                raise errors.InvalidLabel("mutation gene must be non-empty")
-            if node.start > node.end:
-                raise errors.InvalidLabel("mutation start must be <= end")
-            if node.start < 0:
-                raise errors.InvalidLabel("mutation locus must be >= 0")
-            self._mutations[node] = node
+            part, key, table = Partition.PATIENT, node.patient_id, self._patients
+        elif isinstance(node, MutationKey):
+            part, key, table = Partition.MUTATION, node, self._mutations
+        elif isinstance(node, DiseaseNode):
+            part, key, table = Partition.DISEASE, node.disease_id, self._diseases
+        elif isinstance(node, DrugNode):
+            part, key, table = Partition.DRUG, node.drug_id, self._drugs
+        else:
+            raise TypeError(f"unsupported node type {type(node).__name__}")
+        if key in table:
+            raise errors.DuplicateNode(f"{part.value} {_key_text(key)}")
+        issue = _node_issue(node)
+        if issue:
+            raise errors.InvalidLabel(issue)
+        table[key] = node
+        if part is Partition.MUTATION:
             self._by_gene.setdefault(node.gene, set()).add(node)
             self._by_display.setdefault(node.display(), node)
-            return (Partition.MUTATION, node)
-        if isinstance(node, DiseaseNode):
-            if node.disease_id in self._diseases:
-                raise errors.DuplicateNode(f"disease {node.disease_id}")
-            self._diseases[node.disease_id] = node
-            return (Partition.DISEASE, node.disease_id)
-        if isinstance(node, DrugNode):
-            if node.drug_id in self._drugs:
-                raise errors.DuplicateNode(f"drug {node.drug_id}")
-            if node.toxicity_weight < 0:
-                raise errors.InvalidLabel("toxicity_weight must be >= 0")
-            self._drugs[node.drug_id] = node
-            return (Partition.DRUG, node.drug_id)
-        raise TypeError(f"unsupported node type {type(node).__name__}")
+        return (part, key)
 
     def patient(self, patient_id: str) -> PatientRecord:
         try:
@@ -311,15 +299,17 @@ class KnowledgeGraph:
     def add_edge(self, edge: Edge) -> Edge:
         """Insert a typed edge into its colored set.
 
-        Raises MissingEndpoint if an endpoint node is absent, InvalidLabel
-        for out-of-range labels, DuplicateEdge for pairwise-unique types.
+        Raises InvalidLabel for out-of-range labels (checked first, as they
+        depend on the edge alone), MissingEndpoint if an endpoint node is
+        absent, DuplicateEdge for pairwise-unique types.
         """
+        issue = _label_issue(edge)
+        if issue:
+            raise errors.InvalidLabel(issue)
         if isinstance(edge, GeneticEdge):
             pid, mutation = edge.patient_id, edge.mutation
             self._require_patient(pid)
             self._require_mutation(mutation)
-            if edge.vaf is not None and not 0.0 <= edge.vaf <= 1.0:
-                raise errors.InvalidLabel(f"vaf {edge.vaf} outside [0, 1]")
             vafs = self._vaf.setdefault(pid, {})
             if mutation in vafs:
                 raise errors.DuplicateEdge(f"genetic edge {pid}-{mutation.display()}")
@@ -340,10 +330,6 @@ class KnowledgeGraph:
         elif isinstance(edge, TreatmentEdge):
             self._require_patient(edge.patient_id)
             self._require_drug(edge.drug_id)
-            if edge.order < 0:
-                raise errors.InvalidLabel("treatment order must be >= 0")
-            if not isinstance(edge.effectiveness, Effectiveness):
-                raise errors.InvalidLabel(f"effectiveness {edge.effectiveness!r}")
             self._treated.setdefault(edge.patient_id, set()).add(edge.drug_id)
             a, b = (Partition.PATIENT, edge.patient_id), (Partition.DRUG, edge.drug_id)
             color = EdgeColor.RED
@@ -351,8 +337,6 @@ class KnowledgeGraph:
             did, mutation = edge.disease_id, edge.mutation
             self._require_disease(did)
             self._require_mutation(mutation)
-            if not 0.0 <= edge.gda_score <= 1.0:
-                raise errors.InvalidLabel(f"gda_score {edge.gda_score} outside [0, 1]")
             scores = self._gda.setdefault(did, {})
             if mutation in scores:
                 raise errors.DuplicateEdge(f"gda {did}-{mutation.display()}")
@@ -461,11 +445,6 @@ class KnowledgeGraph:
         return self._vaf[patient_id][mutation]
 
 
-def downgrade_to_gene(mutation: MutationKey) -> str:
-    """Project a specific mutation down to its mutated gene symbol."""
-    return mutation.gene
-
-
 def validate(graph: KnowledgeGraph) -> list[Violation]:
     """Check every structural invariant; returns one entry per violation.
 
@@ -474,24 +453,11 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
     overlap checks run over structurally sound records only.
     """
     out: list[Violation] = []
-
-    for p in graph._patients.values():
-        if p.survival_months < 0:
-            out.append(
-                Violation(NODE_INVARIANT, f"patient {p.patient_id}: negative survival")
-            )
-    for m in graph._mutations:
-        if not m.gene:
-            out.append(Violation(NODE_INVARIANT, f"mutation {m}: empty gene"))
-        elif m.start > m.end or m.start < 0:
-            out.append(
-                Violation(NODE_INVARIANT, f"mutation {m.display()}: bad locus range")
-            )
-    for dr in graph._drugs.values():
-        if dr.toxicity_weight < 0:
-            out.append(
-                Violation(NODE_INVARIANT, f"drug {dr.drug_id}: negative weight")
-            )
+    for table in (graph._patients.values(), graph._mutations, graph._drugs.values()):
+        for node in table:
+            issue = _node_issue(node)
+            if issue:
+                out.append(Violation(NODE_INVARIANT, issue))
 
     # A sound record's endpoint pair is one plain tuple: the number of its
     # partition pair, then its keys in that pair's order. Repeated pairs are
@@ -552,15 +518,32 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
     return out + repeats
 
 
-def _pair_text(rec: _EdgeRecord) -> str:
-    def fmt(ref: NodeRef) -> str:
-        key = ref[1]
-        return key.display() if isinstance(key, MutationKey) else str(key)
+def _key_text(key) -> str:
+    return key.display() if isinstance(key, MutationKey) else str(key)
 
-    return f"{fmt(rec.a)}-{fmt(rec.b)}"
+
+def _pair_text(rec: _EdgeRecord) -> str:
+    return f"{_key_text(rec.a[1])}-{_key_text(rec.b[1])}"
+
+
+def _node_issue(node) -> str | None:
+    """The rule of its partition that a node breaks, if any."""
+    if isinstance(node, PatientRecord):
+        if node.survival_months < 0:
+            return f"patient {node.patient_id}: negative survival"
+    elif isinstance(node, MutationKey):
+        if not node.gene:
+            return f"mutation {node.display()}: empty gene"
+        if node.start > node.end or node.start < 0:
+            return f"mutation {node.display()}: bad locus range"
+    elif isinstance(node, DrugNode):
+        if node.toxicity_weight < 0:
+            return f"drug {node.drug_id}: negative weight"
+    return None
 
 
 def _label_issue(edge: Edge) -> str | None:
+    """The label range that an edge breaks, if any."""
     if isinstance(edge, GeneticEdge):
         if edge.vaf is not None and not 0.0 <= edge.vaf <= 1.0:
             return f"vaf {edge.vaf} outside [0, 1]"

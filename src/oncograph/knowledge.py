@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass
 
 from . import errors
-from .graph import KnowledgeGraph, MutationKey, downgrade_to_gene
+from .cohort import profiles_from_graph
+from .graph import KnowledgeGraph, MutationKey
 
 DEFAULT_GDA_THRESHOLD = 0.8
 
@@ -79,41 +80,35 @@ def check_consistency(
 ) -> tuple[DiseaseEvidence, ConsistencyVerdict]:
     """Compare curated knowledge against evidence for one disease.
 
-    At gene granularity every patient profile and the knowledge set are
-    downgraded to gene symbols before the union/intersection is taken
-    (curated sources record genes, not loci), so two patients carrying
-    different mutations of the same gene still share that gene.
+    The patients' profiles come from ``cohort.profiles_from_graph``. At
+    gene granularity they and the knowledge set are downgraded to gene
+    symbols before the union/intersection is taken (curated sources record
+    genes, not loci), so two patients carrying different mutations of the
+    same gene still share that gene.
     """
     cohort = frozenset(graph.patients_of_disease(disease_id))
-    known = known_mutations(graph, disease_id, gda_threshold)
-    if granularity is Granularity.GENE:
-        profiles = [
-            {downgrade_to_gene(m) for m in graph.mutations_of_patient(pid)}
-            for pid in cohort
-        ]
-        known = {downgrade_to_gene(m) for m in known}
-    else:
-        profiles = [graph.mutations_of_patient(pid) for pid in cohort]
-    union: set = set()
-    common: set = set()
-    for i, items in enumerate(profiles):
-        union |= items
-        common = set(items) if i == 0 else common & items
+    known = frozenset(known_mutations(graph, disease_id, gda_threshold))
+    gene_level = granularity is Granularity.GENE
+    if gene_level:
+        known = frozenset(m.gene for m in known)
+    items = [p.mutations for p in profiles_from_graph(graph, cohort, gene_level)]
+    union = frozenset().union(*items)
+    common = frozenset.intersection(*items) if items else frozenset()
     evidence = DiseaseEvidence(
         disease_id=disease_id,
         patients=cohort,
-        union_mutations=frozenset(union),
-        common_mutations=frozenset(common),
-        known_mutations=frozenset(known),
+        union_mutations=union,
+        common_mutations=common,
+        known_mutations=known,
         gda_threshold=gda_threshold,
         granularity=granularity,
     )
-    missing = frozenset(common - known)
-    unsupported = frozenset(known - common)
+    missing = common - known
+    unsupported = known - common
     verdict = ConsistencyVerdict(
         status=classify(missing, unsupported),
         missing_from_knowledge=missing,
         unsupported_knowledge=unsupported,
-        coverage_violations=frozenset(known - union),
+        coverage_violations=known - union,
     )
     return evidence, verdict

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -159,6 +160,47 @@ class TestExactThresholds:
     def test_hamming_rejects_non_integer_k(self, tmp_path, k, capsys):
         assert run(["cohort", "--metric", "hamming", "--k", k] + fixture_args(tmp_path)) == 64
         capsys.readouterr()
+
+    @pytest.mark.parametrize("metric, k", [("hamming", "-1"), ("jaccard", "-0.5")])
+    def test_negative_k_is_usage_error_before_any_output(self, tmp_path, metric, k, capsys):
+        out = tmp_path / "out"
+        argv = ["cohort", "--metric", metric, f"--k={k}"] + fixture_args(out)
+        assert run(argv) == 64
+        assert ">= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigFile:
+    def test_config_supplies_inputs_and_defaults(self, tmp_path, monkeypatch):
+        flags = fixture_args(tmp_path / "flags") + ["--k", "2", "--t-long", "20"]
+        assert run(["cohort"] + flags) == 0
+        assert run(["cohort"] + fixture_args(tmp_path / "plain")) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "mutations": str(FIXTURES / "mutations.tsv"),
+            "clinical": str(FIXTURES / "clinical.tsv"),
+            "gda": str(FIXTURES / "gda.tsv"),
+            "drugs": str(FIXTURES / "drugs.tsv"),
+            "out": str(tmp_path / "config"),
+            "k": 2,
+            "t_long": 20,
+        }))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        assert run(["cohort"]) == 0
+        for name in ("survival_bands.tsv", "profile_groups.tsv"):
+            expected = (tmp_path / "flags" / name).read_bytes()
+            assert (tmp_path / "config" / name).read_bytes() == expected
+            # Both settings change this output, so the match shows they were read.
+            assert (tmp_path / "plain" / name).read_bytes() != expected
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_unreadable_config_is_io_error(self, tmp_path, monkeypatch, content, capsys):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        assert run(["cohort"] + fixture_args(tmp_path)) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
 
 def test_cliques_byte_identical_across_hash_seeds(tmp_path):

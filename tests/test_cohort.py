@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oncograph import (
     DiseaseNode,
+    EdgeColor,
     GeneticEdge,
     KnowledgeGraph,
     MutationKey,
@@ -27,7 +28,7 @@ from oncograph.cohort import (
     survival_partition,
 )
 
-from conftest import make_mutation
+from conftest import make_mutation, random_graph
 
 
 def prof(pid, *items):
@@ -329,3 +330,40 @@ class TestCoMutationSurvival:
             g = self.make_graph(spec)
             for r in co_mutation_survival_table(g, ("E", "K"), top_n=None):
                 assert r.pct_living + r.pct_deceased == 100
+
+    def test_random_graphs_against_green_edge_records(self):
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(40):
+            g = random_graph(rng, max_nodes=40)
+            genes = {pid: set() for pid in g.patients}
+            for rec in g.edge_records(EdgeColor.GREEN):
+                genes[rec.edge.patient_id].add(rec.edge.mutation.gene)
+            present = sorted(set().union(*genes.values()))
+            for pair in combinations(present, 2):
+                cohort = [pid for pid, gs in genes.items() if set(pair) <= gs]
+                if not cohort:
+                    with pytest.raises(errors.EmptyPopulation):
+                        co_mutation_survival_table(g, pair)
+                    continue
+                expected = []
+                for gene in set().union(*(genes[pid] for pid in cohort)):
+                    carriers = [pid for pid in cohort if gene in genes[pid]]
+                    living = sum(g.patient(pid).alive for pid in carriers)
+                    expected.append((
+                        gene,
+                        Fraction(100 * len(carriers), len(cohort)),
+                        Fraction(100 * living, len(carriers)),
+                        Fraction(100 * (len(carriers) - living), len(carriers)),
+                    ))
+                expected.sort(key=lambda row: (-row[1], row[0]))
+                rows = [
+                    (r.gene, r.pct_patients, r.pct_living, r.pct_deceased)
+                    for r in co_mutation_survival_table(g, pair, top_n=None)
+                ]
+                assert rows == expected
+                assert [r.gene for r in co_mutation_survival_table(g, pair, top_n=2)] == [
+                    row[0] for row in expected[:2]
+                ]
+                checked += 1
+        assert checked > 50

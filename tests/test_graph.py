@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,11 +17,17 @@ from oncograph import (
     PatientRecord,
     TargetEdge,
     TreatmentEdge,
-    downgrade_to_gene,
     errors,
     validate,
 )
-from oncograph.graph import PARTITION_VIOLATION, LABEL_OUT_OF_RANGE, _EdgeRecord
+from oncograph.cohort import profiles_from_graph
+from oncograph.graph import (
+    LABEL_OUT_OF_RANGE,
+    NODE_INVARIANT,
+    PARTITION_VIOLATION,
+    Violation,
+    _EdgeRecord,
+)
 
 from conftest import random_graph
 
@@ -259,14 +266,69 @@ class TestValidate:
             assert validate(random_graph(rng, max_nodes=30)) == []
 
 
+class TestOneStatementPerRule:
+    """add_node and add_edge refuse exactly what validate reports, in its words."""
+
+    @pytest.mark.parametrize(
+        "node, table, key",
+        [
+            (PatientRecord("BAD", -1, True), "_patients", "BAD"),
+            (MutationKey("", "1", 5, 5), "_mutations", None),
+            (MutationKey("KRAS", "12", 10, 5), "_mutations", None),
+            (MutationKey("KRAS", "12", -2, 5), "_mutations", None),
+            (DrugNode("BAD", toxicity_weight=Fraction(-1)), "_drugs", "BAD"),
+        ],
+    )
+    def test_node_rules(self, node, table, key):
+        g = KnowledgeGraph()
+        with pytest.raises(errors.InvalidLabel) as raised:
+            g.add_node(node)
+        getattr(g, table)[node if key is None else key] = node
+        assert validate(g) == [Violation(NODE_INVARIANT, str(raised.value))]
+
+    @pytest.mark.parametrize(
+        "edge, color",
+        [
+            (GeneticEdge("P1", KRAS_MUT, 1.5), EdgeColor.GREEN),
+            (GdaAssociation("D1", KRAS_MUT, -0.1), EdgeColor.MAGENTA),
+            (TreatmentEdge("P1", "drugA", -1, Effectiveness.POSITIVE), EdgeColor.RED),
+            (TreatmentEdge("P1", "drugA", 1, "p"), EdgeColor.RED),
+        ],
+    )
+    def test_edge_label_rules(self, edge, color):
+        g = small_graph()
+        with pytest.raises(errors.InvalidLabel) as raised:
+            g.add_edge(edge)
+        ends = {
+            GeneticEdge: ((Partition.PATIENT, "P1"), (Partition.MUTATION, KRAS_MUT)),
+            GdaAssociation: ((Partition.DISEASE, "D1"), (Partition.MUTATION, KRAS_MUT)),
+            TreatmentEdge: ((Partition.PATIENT, "P1"), (Partition.DRUG, "drugA")),
+        }[type(edge)]
+        g.edge_records(color).append(_EdgeRecord(*ends, edge))
+        assert validate(g) == [Violation(LABEL_OUT_OF_RANGE, str(raised.value))]
+
+
 class TestDowngrade:
+    """Gene-level profiles are the one place a mutation becomes its gene."""
+
+    @staticmethod
+    def gene_profile(*mutations):
+        g = KnowledgeGraph()
+        g.add_node(PatientRecord("P1", 12, True))
+        for m in mutations:
+            g.add_node(m)
+            g.add_edge(GeneticEdge("P1", m, 0.5))
+        [profile] = profiles_from_graph(g, gene_level=True)
+        return profile.mutations
+
     def test_kras(self):
-        assert downgrade_to_gene(KRAS_MUT) == "KRAS"
+        assert self.gene_profile(KRAS_MUT) == {"KRAS"}
 
     def test_tert(self):
-        assert downgrade_to_gene(TERT_MUT) == "TERT"
+        assert self.gene_profile(TERT_MUT) == {"TERT"}
 
     def test_two_tp53_mutations_share_symbol(self):
         a = MutationKey("TP53", "17", 7578406, 7578406)
         b = MutationKey("TP53", "17", 7577120, 7577120)
-        assert downgrade_to_gene(a) == downgrade_to_gene(b) == "TP53"
+        assert self.gene_profile(a, b) == {"TP53"}
+        assert self.gene_profile(a, b, KRAS_MUT) == {"TP53", "KRAS"}

@@ -10,7 +10,6 @@ from oncograph import (
     GeneticEdge,
     KnowledgeGraph,
     PatientRecord,
-    downgrade_to_gene,
     errors,
     knowledge,
 )
@@ -160,8 +159,8 @@ def brute_force_sets(g, disease, threshold, gene_level):
             if e.gda_score >= threshold:
                 known.add(e.mutation)
     if gene_level:
-        prof = {p: {downgrade_to_gene(m) for m in ms} for p, ms in prof.items()}
-        known = {downgrade_to_gene(m) for m in known}
+        prof = {p: {m.gene for m in ms} for p, ms in prof.items()}
+        known = {m.gene for m in known}
     union = set().union(*prof.values()) if prof else set()
     common = set.intersection(*prof.values()) if prof else set()
     return pats, union, common, known
