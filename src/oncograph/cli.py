@@ -52,6 +52,10 @@ def _config_defaults() -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError:
+        line = ingest.undecodable_line(path)
+        print(f"cannot read config {path}:{line}: not valid UTF-8", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
@@ -85,7 +89,7 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
             if args.treatments
             else None
         )
-    except errors.MissingColumn as exc:
+    except (errors.MissingColumn, errors.InvalidEncoding) as exc:
         print(str(exc), file=sys.stderr)
         raise SystemExit(EXIT_IO)
     if not mut.rows and mut.data_lines == 0:
@@ -107,10 +111,18 @@ def _outdir(args) -> Path:
 
 
 def _write_tsv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(v) for v in row) + "\n")
+    """Write a TSV atomically: into a temp file beside ``path``, then
+    ``os.replace`` it, so a failure leaves the previous file as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\t".join(header) + "\n")
+            for row in rows:
+                fh.write("\t".join(str(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +131,11 @@ def _write_tsv(path: Path, header: list[str], rows) -> None:
 def cmd_build(args) -> int:
     g, report = _load(args)
     out = _outdir(args)
-    with open(out / "build_report.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        ingest.write_report(report, fh)
+    _write_tsv(
+        out / "build_report.tsv",
+        ["file", "line", "severity", "message"],
+        ((e.file, e.line, e.severity, e.message) for e in report),
+    )
     sizes = g.partition_sizes()
     counts = g.edge_counts()
     print(
@@ -239,13 +254,7 @@ def cmd_freq(args) -> int:
     if band_ids is not None:
         ids = band_ids if ids is None else (set(ids) & band_ids)
     profiles = co.profiles_from_graph(g, patient_ids=ids)
-    try:
-        table = co.frequency_table(
-            profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n
-        )
-    except errors.EmptyPopulation as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+    table = co.frequency_table(profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n)
     _write_tsv(
         out / "frequency.tsv",
         ["item", "percent"],
@@ -282,15 +291,9 @@ def cmd_coexist(args) -> int:
 def cmd_treat(args) -> int:
     g, _ = _load(args)
     out = _outdir(args)
-    try:
-        targets = [g.mutation_by_display(t) for t in args.targets.split(",") if t]
-        instance = hs.build_instance(g, args.patient, targets)
-    except errors.Untargetable as exc:
-        print(f"untargetable mutation {exc.mutation}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (errors.UnknownNode, errors.NotPatientMutation) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DOMAIN
+    # An unknown patient or mutation, or an untargetable one, exits 3 in main.
+    targets = [g.mutation_by_display(t) for t in args.targets.split(",") if t]
+    instance = hs.build_instance(g, args.patient, targets)
     solution = (
         hs.solve_min_weight(instance)
         if args.weighted

@@ -67,3 +67,7 @@ class UniverseTooLarge(OncographError):
 
 class MissingColumn(OncographError):
     pass
+
+
+class InvalidEncoding(OncographError):
+    """An input file is not UTF-8; the message names the file and line."""

@@ -2,12 +2,14 @@
 
 A treatment instance maps each selected mutation of a patient to the set of
 drugs acting on it; a hitting set is a drug subset touching every one of
-those sets. The solver is a deterministic branch and bound: branch on the
-uncovered target set with fewest candidate drugs, bound with a greedy
-packing of pairwise-disjoint uncovered sets, warm-start from a greedy
-cover. Exponential in the worst case, but target sets are small in
-practice. All weights are exact rationals; no floating point enters the
-optimality comparison.
+those sets. The solver is one deterministic branch and bound over Python
+ints: drugs are bits, target sets are masks, and the exact rational weights
+are scaled by the LCM of their denominators to integers, so no floating
+point enters the optimality comparison. It branches on the uncovered target
+set with fewest candidate drugs, most-covering drug first (so its first
+descent is the greedy cover), and bounds with a greedy packing of
+pairwise-disjoint uncovered sets. Exponential in the worst case, but target
+sets are small in practice.
 
 Tie-breaking is fixed everywhere: total weight, then cardinality, then the
 lexicographically smallest sorted drug-id tuple.
@@ -15,6 +17,7 @@ lexicographically smallest sorted drug-id tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, TextIO
@@ -46,7 +49,6 @@ class HittingSetInstance:
 class TreatmentSolution:
     drugs: frozenset[str]
     total_weight: Fraction
-    optimal: bool
     hits: Mapping[MutationKey, frozenset[str]]
 
 
@@ -75,14 +77,9 @@ def build_instance(
             raise errors.Untargetable(m.display())
         family.append(frozenset(drugs))
         origin[i] = m
-    universe = sorted(set().union(*family)) if family else []
+    universe = tuple(sorted(set().union(*family)))
     weights = {d: graph.drug(d).toxicity_weight for d in universe}
-    return HittingSetInstance(
-        universe=tuple(universe),
-        family=tuple(family),
-        weights=weights,
-        origin=origin,
-    )
+    return HittingSetInstance(universe, tuple(family), weights, origin)
 
 
 def make_instance(
@@ -92,22 +89,14 @@ def make_instance(
 ) -> HittingSetInstance:
     """Instance from bare drug-id sets; missing weights default to 1."""
     fam = tuple(frozenset(s) for s in family)
-    universe = sorted(set().union(*fam)) if fam else []
-    w = {d: Fraction(1) for d in universe}
-    if weights:
-        for d, v in weights.items():
-            if d in w:
-                if Fraction(v) < 0:
-                    raise errors.InvalidLabel(f"negative weight for {d}")
-                w[d] = Fraction(v)
-    return HittingSetInstance(
-        universe=tuple(universe), family=fam, weights=w, origin=origin or {}
-    )
-
-
-def _solution_key(drugs: frozenset[str], weights) -> tuple:
-    total = sum((weights[d] for d in drugs), Fraction(0))
-    return (total, len(drugs), tuple(sorted(drugs)))
+    universe = tuple(sorted(set().union(*fam)))
+    w = dict.fromkeys(universe, Fraction(1))
+    for d, v in (weights or {}).items():
+        if d in w:
+            if Fraction(v) < 0:
+                raise errors.InvalidLabel(f"negative weight for {d}")
+            w[d] = Fraction(v)
+    return HittingSetInstance(universe, fam, w, origin or {})
 
 
 def _assemble(instance: HittingSetInstance, drugs: frozenset[str]) -> TreatmentSolution:
@@ -115,89 +104,66 @@ def _assemble(instance: HittingSetInstance, drugs: frozenset[str]) -> TreatmentS
         if not s & drugs:  # soundness checked on every call
             raise AssertionError(f"solver output misses family set #{i}")
     total = sum((instance.weights[d] for d in drugs), Fraction(0))
-    hits = {
-        m: frozenset(instance.family[i] & drugs) for i, m in instance.origin.items()
-    }
-    return TreatmentSolution(drugs=drugs, total_weight=total, optimal=True, hits=hits)
+    hits = {m: instance.family[i] & drugs for i, m in instance.origin.items()}
+    return TreatmentSolution(drugs=drugs, total_weight=total, hits=hits)
 
 
-def _greedy(family, weights) -> frozenset[str]:
-    """Warm-start upper bound: repeatedly take the drug with the best
-    covered-sets-per-weight ratio (ties by drug id)."""
-    uncovered = list(range(len(family)))
-    chosen: set[str] = set()
-    while uncovered:
-        best = None
-        for d in sorted({d for i in uncovered for d in family[i]}):
-            cover = sum(1 for i in uncovered if d in family[i])
-            w = weights[d]
-            score = (Fraction(cover) / w) if w > 0 else Fraction(cover) * 10**9 + 1
-            if best is None or score > best[0]:
-                best = (score, d)
-        chosen.add(best[1])
-        uncovered = [i for i in uncovered if best[1] not in family[i]]
-    return frozenset(chosen)
+def _branch_and_bound(instance: HittingSetInstance, weights: Mapping) -> frozenset[str]:
+    """The hitting set of least (weight, size, sorted drug tuple).
 
+    Drug ``i`` of the sorted universe is bit ``n-1-i``: among drug sets of one
+    size the larger mask is the smaller tuple, so the key is
+    ``(weight, size, -mask)``. Target masks are sorted once into pivot order
+    (fewest drugs, then id tuple). A branch bans the drugs of its earlier
+    siblings, whose subtrees already hold every cover containing them.
+    """
+    n = len(instance.universe)
+    bit = {d: 1 << (n - 1 - i) for i, d in enumerate(instance.universe)}
+    scale = math.lcm(*(weights[d].denominator for d in instance.universe))
+    cost = {bit[d]: int(weights[d] * scale) for d in instance.universe}
+    targets = sorted(
+        {sum(bit[d] for d in s) for s in instance.family},
+        key=lambda t: (t.bit_count(), -t),
+    )
+    cheapest = {t: min(c for b, c in cost.items() if t & b) for t in targets}
+    best = (sum(cost.values()) + 1, 0, 0)  # worse than any cover
 
-def _packing_bound(family_idx, family, weights) -> Fraction:
-    """Greedy packing of pairwise-disjoint uncovered sets; the cheapest
-    drug of each packed set is a valid lower bound on the remaining cost."""
-    bound = Fraction(0)
-    used: set[str] = set()
-    for i in sorted(family_idx, key=lambda i: (len(family[i]), sorted(family[i]))):
-        s = family[i]
-        if s & used:
-            continue
-        used |= s
-        bound += min(weights[d] for d in s)
-    return bound
-
-
-def _branch_and_bound(instance: HittingSetInstance, weights) -> frozenset[str]:
-    family = instance.family
-    if not family:
-        return frozenset()
-    best = _greedy(family, weights)
-    best_key = _solution_key(best, weights)
-
-    def recurse(chosen: set[str], weight: Fraction, uncovered: list[int]) -> None:
-        nonlocal best, best_key
+    def search(chosen: int, weight: int, size: int, uncovered: list[int], banned: int):
+        nonlocal best
         if not uncovered:
-            key = (weight, len(chosen), tuple(sorted(chosen)))
-            if key < best_key:
-                best, best_key = frozenset(chosen), key
+            best = min(best, (weight, size, -chosen))
             return
-        if weight + _packing_bound(uncovered, family, weights) > best_key[0]:
+        bound, packed = weight, 0
+        for t in uncovered:
+            if not t & packed:
+                packed |= t
+                bound += cheapest[t]
+        if (bound, size + 1) > best[:2]:
             return
-        # Branch on the uncovered set with fewest candidates; try its drugs
-        # most-covering first for early good bounds, id order on ties.
-        pivot = min(uncovered, key=lambda i: (len(family[i]), sorted(family[i])))
-        candidates = sorted(
-            family[pivot],
-            key=lambda d: (-sum(1 for i in uncovered if d in family[i]), d),
-        )
-        for d in candidates:
-            chosen.add(d)
-            recurse(
-                chosen,
-                weight + weights[d],
-                [i for i in uncovered if d not in family[i]],
-            )
-            chosen.remove(d)
+        drugs = []
+        free = uncovered[0] & ~banned
+        while free:
+            drugs.append(free & -free)
+            free &= free - 1
+        drugs.sort(key=lambda b: (-sum(1 for t in uncovered if t & b), -b))
+        for b in drugs:
+            rest = [t for t in uncovered if not t & b]
+            search(chosen | b, weight + cost[b], size + 1, rest, banned)
+            banned |= b
 
-    recurse(set(), Fraction(0), list(range(len(family))))
-    return best
+    search(0, 0, 0, targets, 0)
+    return frozenset(d for d in instance.universe if -best[2] & bit[d])
 
 
 def solve_min_weight(instance: HittingSetInstance) -> TreatmentSolution:
     """Hitting set of provably minimum total weight (exact, deterministic)."""
-    return _assemble(instance, _branch_and_bound(instance, dict(instance.weights)))
+    return _assemble(instance, _branch_and_bound(instance, instance.weights))
 
 
 def solve_min_cardinality(instance: HittingSetInstance) -> TreatmentSolution:
     """Hitting set of provably minimum size; reported weight uses the
     instance's real drug weights even though the objective ignores them."""
-    unit = {d: Fraction(1) for d in instance.universe}
+    unit = dict.fromkeys(instance.universe, 1)
     return _assemble(instance, _branch_and_bound(instance, unit))
 
 
@@ -209,26 +175,25 @@ def oracle_solve(
     if n > ORACLE_UNIVERSE_LIMIT:
         raise errors.UniverseTooLarge(f"universe size {n} > {ORACLE_UNIVERSE_LIMIT}")
     if objective == "weight":
-        weights = dict(instance.weights)
+        weights = instance.weights
     elif objective == "cardinality":
-        weights = {d: Fraction(1) for d in instance.universe}
+        weights = dict.fromkeys(instance.universe, 1)
     else:
         raise ValueError(f"unknown objective '{objective}'")
-    masks = [
-        sum(1 << instance.universe.index(d) for d in s) for s in instance.family
-    ]
-    best = None
-    best_key = None
+    # Integer weights scaled by the LCM of the denominators: exact, and far
+    # cheaper to sum per subset than Fractions.
+    scale = math.lcm(*(weights[d].denominator for d in instance.universe))
+    cost = [int(weights[d] * scale) for d in instance.universe]
+    masks = [sum(1 << instance.universe.index(d) for d in s) for s in instance.family]
+    best = (sum(cost) + 1, 0, ())  # (weight, size, drug tuple), worse than any cover
     for mask in range(1 << n):
         if any(mask & m == 0 for m in masks):
             continue
-        drugs = frozenset(
-            instance.universe[i] for i in range(n) if mask & (1 << i)
-        )
-        key = _solution_key(drugs, weights)
-        if best_key is None or key < best_key:
-            best, best_key = drugs, key
-    return _assemble(instance, best)
+        total = sum(c for i, c in enumerate(cost) if mask >> i & 1)
+        if total <= best[0]:
+            drugs = tuple(d for i, d in enumerate(instance.universe) if mask >> i & 1)
+            best = min(best, (total, len(drugs), drugs))
+    return _assemble(instance, frozenset(best[2]))
 
 
 # ----------------------------------------------------------------------

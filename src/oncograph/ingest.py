@@ -69,6 +69,11 @@ _OPTIONAL = {
 
 _VAF_SENTINELS = {"", "na", "nan", "n/a", "unknown", "."}
 
+# Identifier columns are comma-joined in outputs and in ``treat --targets``,
+# so a comma inside one is rejected. Free-text columns (diseases, adverse
+# effects) may hold commas.
+_ID_COLUMNS = {"sample_id", "gene", "chromosome", "drug_id"}
+
 
 @dataclass(frozen=True, slots=True)
 class ReportEntry:
@@ -132,6 +137,18 @@ def _open(source) -> tuple[TextIO, str]:
     return open(source, "r", encoding="utf-8"), str(source)
 
 
+def undecodable_line(path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, else 0.
+    (A newline byte never occurs inside a multi-byte UTF-8 sequence.)"""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
 def _parse_table(source, columns: Mapping[str, str], kind: str, row_fn) -> ParseResult:
     """Shared TSV scaffolding: comments, header mapping, per-row conversion.
 
@@ -174,12 +191,28 @@ def _parse_table(source, columns: Mapping[str, str], kind: str, row_fn) -> Parse
                     )
                 )
                 continue
+            if "," in line:
+                bad = [
+                    f"{c} '{fields[i].strip()}'"
+                    for c, i in index.items()
+                    if c in _ID_COLUMNS and "," in fields[i]
+                ]
+                if bad:
+                    result.issues.append(
+                        ReportEntry(name, lineno, "error", f"comma in {', '.join(bad)}")
+                    )
+                    continue
             for logical, i in index.items():
                 values[logical] = fields[i].strip() if i < len(fields) else None
             try:
                 result.rows.append(row_fn(values))
             except ValueError as exc:
                 result.issues.append(ReportEntry(name, lineno, "error", str(exc)))
+    except UnicodeDecodeError:
+        # Text streams decode in chunks, so the failing line is found only
+        # here, by decoding the file again line by line.
+        where = f":{undecodable_line(source)}" if close else ""
+        raise errors.InvalidEncoding(f"{name}{where}: not valid UTF-8") from None
     finally:
         if close:
             stream.close()
@@ -443,9 +476,3 @@ def build_graph(
         note("warning", f"{orphans} orphan mutation row(s) excluded")
     return graph, report
 
-
-def write_report(entries: Iterable[ReportEntry], stream: TextIO) -> None:
-    """Serialize a build/parse report as TSV (file, line, severity, message)."""
-    stream.write("file\tline\tseverity\tmessage\n")
-    for e in entries:
-        stream.write(f"{e.file}\t{e.line}\t{e.severity}\t{e.message}\n")

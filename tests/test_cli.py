@@ -203,6 +203,55 @@ class TestConfigFile:
         assert "cannot read config" in capsys.readouterr().err
 
 
+class TestParseBoundary:
+    @pytest.mark.parametrize("table", ["mutations", "clinical", "gda", "drugs"])
+    def test_non_utf8_input_is_io_error_with_line(self, tmp_path, table, capsys):
+        path = tmp_path / f"{table}.tsv"
+        lines = (FIXTURES / f"{table}.tsv").read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b"\t", b"\xe9\t", 1)  # Latin-1 e-acute
+        path.write_bytes(b"".join(lines))
+        assert run(["build"] + fixture_args(tmp_path / "out", **{table: path})) == 2
+        assert f"{path}:4: not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_io_error_with_line(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{\n  "out": "caf\xe9"\n}\n')
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        assert run(["build"] + fixture_args(tmp_path)) == 2
+        assert f"cannot read config {config}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_comma_in_patient_id_is_rejected(self, tmp_path, capsys):
+        args = write_inputs(
+            tmp_path, ["P1", "P9,P10"], [("P1", "KRAS"), ("P9,P10", "KRAS")]
+        )
+        assert run(["build"] + args) == 0
+        report = (tmp_path / "out" / "build_report.tsv").read_text().splitlines()
+        for table in ("clinical", "mutations"):
+            path = tmp_path / f"{table}.tsv"
+            assert f"{path}\t3\terror\tcomma in sample_id 'P9,P10'" in report
+        assert run(["cohort"] + args) == 0
+        assert (tmp_path / "out" / "profile_groups.tsv").read_text() == (
+            "group\tsize\tpatients\n1\t1\tP1\n"
+        )
+        capsys.readouterr()
+
+
+class TestAtomicOutput:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "frequency.tsv"
+        cli._write_tsv(path, ["item", "percent"], [("KRAS", "50.0")])
+        before = path.read_bytes()
+
+        def rows():
+            yield ("TP53", "25.0")
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            cli._write_tsv(path, ["item", "percent"], rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["frequency.tsv"]
+
+
 def test_cliques_byte_identical_across_hash_seeds(tmp_path):
     # Hamming k=1 cliques {P0,P1,P4}, {P0,P2}, {P2,P3}; the clique search
     # meets the two led by P0 in an order that follows the hash seed.

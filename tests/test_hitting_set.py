@@ -146,6 +146,27 @@ class TestOracleAgreement:
             assert len(sol.drugs) == len(oracle.drugs)
             assert sol.drugs == oracle.drugs  # identical under fixed tie-breaking
 
+    def test_weighted_drug_set_matches_oracle_under_ties(self):
+        # Zero and repeated weights make many optima; the drug set itself is
+        # fixed by the tie-break (weight, cardinality, sorted drug tuple).
+        rng = random.Random(107)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            drugs = [f"d{i:02d}" for i in range(n)]
+            family = [
+                rng.sample(drugs, rng.randint(1, min(n, 4)))
+                for _ in range(rng.randint(1, 8))
+            ]
+            weights = {
+                d: Fraction(rng.choice([0, 0, 1, 1, 2]), rng.choice([1, 2]))
+                for d in drugs
+            }
+            inst = hs.make_instance(family, weights)
+            assert (
+                hs.solve_min_weight(inst).drugs
+                == hs.oracle_solve(inst, "weight").drugs
+            )
+
     def test_unit_weight_solvers_coincide(self):
         rng = random.Random(79)
         for _ in range(50):

@@ -180,3 +180,63 @@ class TestBuildGraph:
     def test_row_count_conservation(self, fixture_paths):
         res = ingest.parse_mutation_table(fixture_paths["mutations"])
         assert len(res.rows) + len(res.issues) == res.data_lines
+
+
+MUTATION_HEADER = "sample_id\tgene\tchromosome\tstart_position\tend_position\n"
+CLINICAL_HEADER = "sample_id\tcancer_type\tos_months\tos_status\n"
+TREATMENT_HEADER = "sample_id\tdrug_id\torder\teffectiveness\n"
+
+
+class TestIdentifiersWithCommas:
+    @pytest.mark.parametrize(
+        "parse, text, column",
+        [
+            (ingest.parse_mutation_table, MUTATION_HEADER + "P9,P10\tKRAS\t12\t1\t1\n", "sample_id"),
+            (ingest.parse_mutation_table, MUTATION_HEADER + "P1\tA,B\t12\t1\t1\n", "gene"),
+            (ingest.parse_mutation_table, MUTATION_HEADER + "P1\tKRAS\t1,2\t1\t1\n", "chromosome"),
+            (ingest.parse_clinical_table, CLINICAL_HEADER + "P9,P10\tLUAD\t1\tliving\n", "sample_id"),
+            (ingest.parse_gda_table, "gene\tdisease\tgda_score\nA,B\tLUAD\t0.5\n", "gene"),
+            (ingest.parse_drug_target_table, "drug\tgene\nd1,d2\tKRAS\n", "drug_id"),
+            (ingest.parse_drug_target_table, "drug\tgene\nd1\tA,B\n", "gene"),
+            (ingest.parse_treatment_table, TREATMENT_HEADER + "P9,P10\td1\t0\tp\n", "sample_id"),
+            (ingest.parse_treatment_table, TREATMENT_HEADER + "P1\td1,d2\t0\tp\n", "drug_id"),
+        ],
+        ids=[
+            "mutation-sample", "mutation-gene", "mutation-chromosome", "clinical-sample",
+            "gda-gene", "drug-drug", "drug-gene", "treatment-sample", "treatment-drug",
+        ],
+    )
+    def test_rejected_with_its_line(self, parse, text, column):
+        # Ids are comma-joined in outputs and in `treat --targets`.
+        res = parse(io.StringIO("# export\n" + text))
+        assert res.rows == []
+        [issue] = res.issues
+        assert (issue.line, issue.severity) == (3, "error")
+        assert issue.message.startswith(f"comma in {column} '")
+
+    def test_free_text_columns_keep_commas(self):
+        clinical = ingest.parse_clinical_table(
+            io.StringIO(CLINICAL_HEADER + "P1\tLung, NOS\t1\tliving\n")
+        )
+        gda = ingest.parse_gda_table(
+            io.StringIO("gene\tdisease\tgda_score\nKRAS\tLung, NOS\t0.5\n")
+        )
+        drugs = ingest.parse_drug_target_table(
+            io.StringIO("drug\tgene\tadverse_effects\nd1\tKRAS\trash, nausea\n")
+        )
+        assert clinical.rows[0].cancer_type == gda.rows[0].disease == "Lung, NOS"
+        assert drugs.rows[0].adverse_effects == "rash, nausea"
+        assert clinical.issues == gda.issues == drugs.issues == []
+
+
+class TestEncoding:
+    def test_bad_byte_named_by_file_and_line(self, tmp_path):
+        # Far past the first decoded chunk, so the line is not the chunk's.
+        path = tmp_path / "mutations.tsv"
+        rows = [f"P{i}\tKRAS\t12\t{i}\t{i}\n".encode() for i in range(2000)]
+        rows[1500] = b"P1500\tKR\xffAS\t12\t1\t1\n"
+        path.write_bytes(MUTATION_HEADER.encode() + b"".join(rows))
+        with pytest.raises(errors.InvalidEncoding) as exc:
+            ingest.parse_mutation_table(path)
+        assert str(exc.value).startswith(f"{path}:1502: not valid UTF-8")
+        assert ingest.undecodable_line(path) == 1502
