@@ -190,11 +190,9 @@ def cmd_cohort(args) -> int:
     if k < 0:
         print(f"--k {k} must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    if args.metric == "hamming":
-        if k.denominator != 1:
-            print(f"--k {k} must be a whole number for hamming", file=sys.stderr)
-            return EXIT_USAGE
-        k = k.numerator  # int distances compare fastest with an int
+    if args.metric == "hamming" and k.denominator != 1:
+        print(f"--k {k} must be a whole number for hamming", file=sys.stderr)
+        return EXIT_USAGE
     g, _ = _load(args)
     out = _outdir(args)
     try:

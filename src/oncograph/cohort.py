@@ -7,6 +7,10 @@ are MutationKeys, or gene symbols at gene level. It is the only code that
 builds per-patient item sets and the only place a mutation is downgraded to
 its gene; the knowledge check reads its cohort's profiles from it too.
 
+Grouping is a similarity join over integer bitmasks: identical profiles
+merge, sizes rule out most pairs, and the rest must share one of their
+rarest items before the distance is tested exactly in integers.
+
 Percentages are carried as exact Fractions and rounded half-up to one
 decimal only when rendered, so table comparisons are reproducible.
 """
@@ -15,10 +19,10 @@ from __future__ import annotations
 
 import decimal
 import enum
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey
@@ -106,7 +110,68 @@ def jaccard_distance(a: MutationProfile, b: MutationProfile) -> Fraction:
     return Fraction(len(a.mutations ^ b.mutations), len(union))
 
 
-_METRICS = {"hamming": hamming_distance, "jaccard": jaccard_distance}
+def _overlap_rule(metric: str, k: Fraction) -> tuple[int, int, int]:
+    """Integers (a, b, c) such that two profiles of sizes s and t that share
+    o items are within distance k exactly when ``a*o >= b*(s+t) - c``."""
+    if metric == "hamming":
+        # s + t - 2o <= k; the distance is whole, so k rounds down.
+        return 2, 1, k.numerator // k.denominator
+    if metric == "jaccard":
+        num, den = k.numerator, k.denominator
+        if num >= den:  # no Jaccard distance exceeds 1
+            return 1, 0, 0
+        # (s + t - 2o) / (s + t - o) <= num / den
+        return 2 * den - num, den - num, 0
+    raise ValueError(f"unknown metric '{metric}'")
+
+
+def _joins(keys: list[frozenset], a: int, b: int, c: int):
+    """For each profile j of ``keys`` (distinct, by ascending size), the
+    earlier profiles within the distance of ``_overlap_rule``: every i below
+    a bound, whose size alone decides, and a list of others.
+
+    Items become bits, rarest first. The others must share an item, and a
+    pair that shares at least o items shares one among the first
+    ``size - o + 1`` of each profile's items (prefix filtering; Bayardo, Ma
+    & Srikant, WWW 2007; Xiao et al., PPJoin, WWW 2008). So each profile is
+    probed with that prefix for the least overlap a smaller partner can
+    need, and indexed with it for the least a larger one can; each
+    candidate is then tested exactly on the masks.
+    """
+    freq = Counter(item for key in keys for item in key)
+    bit = {item: n for n, (item, _) in enumerate(reversed(freq.most_common()))}
+    sizes = [len(key) for key in keys]
+    masks: list[int] = []
+    postings: list[list[int]] = [[] for _ in bit]
+    for j, key in enumerate(keys):
+        t = sizes[j]
+        tokens = sorted(bit[item] for item in key)
+        mask = sum(1 << token for token in tokens)
+        masks.append(mask)
+        # Sizes s with b*(s+t) <= c join whatever they share.
+        direct = bisect_right(sizes, c // b - t, 0, j) if b else j
+        # The smallest possible partner has ceil((t*b - c)/(a - b)) items,
+        # all inside this profile; every partner shares at least as many.
+        smallest = max(1, -((c - t * b) // (a - b)))
+        candidates = set()
+        if direct < j:
+            # Postings run in ascending size, and `smallest` never falls:
+            # profiles too small for this one are too small for every later one.
+            first = bisect_left(sizes, smallest)
+            for token in tokens[: t - smallest + 1]:
+                post = postings[token]
+                del post[: bisect_left(post, first)]
+                candidates.update(post)
+        near = [
+            i for i in candidates
+            if i >= direct and (masks[i] & mask).bit_count() * a >= (sizes[i] + t) * b - c
+        ]
+        yield direct, near
+        # A later partner is no smaller, so it shares at least
+        # ceil((2*t*b - c)/a) items, the bound for two profiles of size t.
+        least = max(1, -((c - 2 * t * b) // a))
+        for token in tokens[: t - least + 1]:
+            postings[token].append(j)
 
 
 def group_by_threshold(
@@ -118,60 +183,79 @@ def group_by_threshold(
     """Group patients whose profiles are within distance k of each other.
 
     ``strategy="components"`` (default) takes connected components of the
-    k-threshold graph (distance chains allowed); ``"cliques"`` returns the
-    maximal cliques instead (every pair within k; exact enumeration, meant
-    for desk-scale inputs). Members are ordered by patient id, and groups
-    by their sorted member lists.
+    k-threshold graph (distance chains allowed), by union-find;
+    ``"cliques"`` returns its maximal cliques instead (every pair within k;
+    exact enumeration). Members are ordered by patient id, and groups by
+    their sorted member lists.
+
+    ``k`` is compared exactly, as ``Fraction(k)``. Identical profiles are
+    merged first; they are at distance 0. The pairs of distinct profiles
+    are found by a join over integer bitmasks: pairs that the profile sizes
+    rule out are never formed, and the rest must share one of their rarest
+    items before the distance is tested in integers (see ``_joins``).
     """
+    k = Fraction(k)
     if k < 0:
         raise errors.InvalidThresholds("k must be >= 0")
-    dist = _METRICS[metric]
-    ids = [p.patient_id for p in profiles]
-    adj: dict[str, set[str]] = {pid: set() for pid in ids}
-    for a, b in combinations(profiles, 2):
-        if dist(a, b) <= k:
-            adj[a.patient_id].add(b.patient_id)
-            adj[b.patient_id].add(a.patient_id)
+    rule = _overlap_rule(metric, k)
+    if strategy not in ("components", "cliques"):
+        raise ValueError(f"unknown strategy '{strategy}'")
+    classes: dict[frozenset, list[str]] = {}
+    for p in profiles:
+        classes.setdefault(p.mutations, []).append(p.patient_id)
+    keys = sorted(classes, key=len)
+    joins = _joins(keys, *rule)
 
     if strategy == "components":
-        groups = []
-        seen: set[str] = set()
-        for pid in sorted(ids):
-            if pid in seen:
-                continue
-            stack, comp = [pid], set()
-            while stack:
-                cur = stack.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                stack.extend(adj[cur] - comp)
-            seen |= comp
-            groups.append(sorted(comp))
-    elif strategy == "cliques":
-        # Cliques may share members, so order them by the whole member list:
-        # the search finds them in an order set by the hash seed.
-        groups = sorted(sorted(c) for c in _maximal_cliques(adj))
+        parent = list(range(len(keys)))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for j, (direct, near) in enumerate(joins):
+            # The profiles below `direct` are joined with each other already.
+            if direct:
+                parent[root(0)] = root(j)
+            for i in near:
+                parent[root(i)] = root(j)
+        members: dict[int, list[str]] = {}
+        for j, key in enumerate(keys):
+            members.setdefault(root(j), []).extend(classes[key])
+        groups = list(members.values())
     else:
-        raise ValueError(f"unknown strategy '{strategy}'")
-    return groups
+        adj: dict[int, set[int]] = {j: set() for j in range(len(keys))}
+        for j, (direct, near) in enumerate(joins):
+            adj[j].update(range(direct), near)
+            for i in adj[j]:
+                adj[i].add(j)
+        # Patients with one profile are twins, so the maximal cliques over
+        # patients are those over profiles, each expanded to its patients.
+        groups = [
+            [pid for j in clique for pid in classes[keys[j]]]
+            for clique in _maximal_cliques(adj)
+        ]
+    return sorted(sorted(g) for g in groups)
 
 
-def _maximal_cliques(adj: dict[str, set[str]]):
+def _maximal_cliques(adj: dict[int, set[int]]):
     """Bron-Kerbosch with pivoting over the threshold graph."""
-    cliques: list[set[str]] = []
+    cliques: list[set[int]] = []
 
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
+    def expand(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             cliques.append(set(r))
             return
         pivot = max(p | x, key=lambda v: len(adj[v]))
         for v in sorted(p - adj[pivot]):
             expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+            # p and x are this call's own sets: move v across in place.
+            p.remove(v)
+            x.add(v)
 
-    expand(set(), set(adj), set())
+    if adj:  # no patients make no group, not one empty one
+        expand(set(), set(adj), set())
     return cliques
 
 

@@ -87,9 +87,15 @@ def make_instance(
     weights: Mapping[str, Fraction | int] | None = None,
     origin: Mapping[int, MutationKey] | None = None,
 ) -> HittingSetInstance:
-    """Instance from bare drug-id sets; missing weights default to 1."""
+    """Instance from bare drug-id sets; missing weights default to 1.
+
+    A drug id may not contain a comma, the separator of ``write_instance``.
+    """
     fam = tuple(frozenset(s) for s in family)
     universe = tuple(sorted(set().union(*fam)))
+    for d in universe:
+        if "," in d:
+            raise errors.InvalidLabel(f"comma in drug id '{d}'")
     w = dict.fromkeys(universe, Fraction(1))
     for d, v in (weights or {}).items():
         if d in w:

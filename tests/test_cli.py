@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oncograph import cli
 
@@ -272,3 +277,52 @@ def test_cliques_byte_identical_across_hash_seeds(tmp_path):
     assert outputs == {
         b"group\tsize\tpatients\n1\t3\tP0,P1,P4\n2\t2\tP0,P2\n3\t2\tP2,P3\n"
     }
+
+
+TABLES = ["mutations", "clinical", "gda", "drugs"]
+SUBCOMMANDS = [
+    ["build"],
+    ["check"],
+    ["freq", "--mode", "gene_without_multiplicity"],
+    ["coexist", "--k", "30", "--granularity", "gene"],
+    ["cohort", "--metric", "jaccard", "--k", "0.5", "--strategy", "cliques"],
+    ["treat", "--patient", "P1", "--targets", "KRAS_12_25398284_25398284", "--weighted"],
+]
+# Cells that the tables' columns read as ids, numbers, statuses or junk.
+CELLS = st.one_of(
+    st.sampled_from([
+        "", "P1", "P2", "KRAS", "EGFR", "12", "25398284", "-1", "0", "0.5", "1.5",
+        "nan", "inf", "1e400", "living", "deceased", "1:DECEASED", "Lung Adenocarcinoma",
+        "sotorasib", "a,b", " ", "#",
+    ]),
+    st.text(max_size=6),
+)
+# A table is random bytes, or random rows under its real header or none.
+TABLE_CONTENT = st.one_of(
+    st.binary(max_size=120),
+    st.tuples(st.booleans(), st.lists(st.lists(CELLS, max_size=7), max_size=6)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.sampled_from(TABLES), TABLE_CONTENT, min_size=1))
+def test_fuzzed_inputs_exit_with_a_documented_code(tables):
+    """Whatever is in the input tables, every subcommand exits 0, 1, 2, 3
+    or 64, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for table, content in tables.items():
+            if not isinstance(content, bytes):
+                keep_header, rows = content
+                lines = ["\t".join(cells) for cells in rows]
+                if keep_header:
+                    lines.insert(0, (FIXTURES / f"{table}.tsv").read_text().splitlines()[1])
+                content = "\n".join(lines).encode()
+            paths[table] = Path(tmp) / f"{table}.tsv"
+            paths[table].write_bytes(content)
+        for command in SUBCOMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(command + fixture_args(Path(tmp) / "out", **paths))
+            assert code in {0, 1, 2, 3, 64}, (command, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -133,6 +133,84 @@ class TestGrouping:
             assert len(flat) == len(set(flat))
 
 
+def oracle_groups(profiles, metric, k, strategy):
+    """The k-threshold graph built pair by pair from the reference distances,
+    then its components or its maximal cliques by plain enumeration."""
+    dist = {"hamming": hamming_distance, "jaccard": jaccard_distance}[metric]
+    ids = [p.patient_id for p in profiles]
+    adj = {pid: set() for pid in ids}
+    for a, b in combinations(profiles, 2):
+        if dist(a, b) <= k:
+            adj[a.patient_id].add(b.patient_id)
+            adj[b.patient_id].add(a.patient_id)
+    groups = []
+    if strategy == "components":
+        seen = set()
+        for pid in ids:
+            if pid in seen:
+                continue
+            comp, stack = {pid}, [pid]
+            while stack:
+                for other in adj[stack.pop()] - comp:
+                    comp.add(other)
+                    stack.append(other)
+            seen |= comp
+            groups.append(comp)
+    else:
+        # Every clique, grown only by later ids, with the ids adjacent to all
+        # of its members; keep those that no id extends.
+        stack = [(pid, {pid}, adj[pid]) for pid in ids]
+        while stack:
+            last, clique, common = stack.pop()
+            if not common:
+                groups.append(clique)
+            for pid in common:
+                if pid > last:
+                    stack.append((pid, clique | {pid}, common & adj[pid]))
+    return sorted(sorted(g) for g in groups)
+
+
+def random_profiles(rng):
+    """Up to 10 profiles over a small universe of gene symbols or
+    MutationKeys, with empty and repeated profiles."""
+    if rng.random() < 0.5:
+        universe = [f"G{i}" for i in range(rng.randint(1, 9))]
+    else:
+        universe = [make_mutation("G", i) for i in range(rng.randint(1, 9))]
+    sets = []
+    for _ in range(rng.randint(0, 10)):
+        if sets and rng.random() < 0.25:
+            sets.append(rng.choice(sets))
+        else:
+            sets.append(frozenset(rng.sample(universe, rng.randint(0, len(universe)))))
+    return [MutationProfile(f"P{i:02d}", s) for i, s in enumerate(sets)]
+
+
+class TestGroupingOracle:
+    JACCARD_KS = [0, Fraction(3, 10), Fraction(1, 2), 1, Fraction(3, 2), 0.3, Fraction(2, 3)]
+
+    def test_matches_pairwise_threshold_graph(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            ps = random_profiles(rng)
+            largest = max((len(p.mutations) for p in ps), default=0)
+            cases = [("hamming", k) for k in [*range(largest + 3), 1.5, Fraction(5, 2)]]
+            cases += [("jaccard", k) for k in self.JACCARD_KS]
+            for metric, k in cases:
+                for strategy in ("components", "cliques"):
+                    assert group_by_threshold(ps, metric, k, strategy) == oracle_groups(
+                        ps, metric, k, strategy
+                    ), (metric, k, strategy, ps)
+
+    @pytest.mark.parametrize("strategy", ["components", "cliques"])
+    def test_no_profiles_no_groups(self, strategy):
+        assert group_by_threshold([], "hamming", 1, strategy) == []
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError, match="unknown metric 'cosine'"):
+            group_by_threshold([prof("P1", "a")], "cosine", 1)
+
+
 class TestSurvivalPartition:
     def make_graph(self, records):
         g = KnowledgeGraph()

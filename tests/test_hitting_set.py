@@ -237,3 +237,8 @@ class TestTextFormat:
         assert back.family == inst.family
         assert back.weights == inst.weights
         assert back.universe == inst.universe
+
+    def test_comma_in_drug_id_is_rejected(self):
+        # Written as "a,b,c", the set {"a,b", "c"} would read back as {a, b, c}.
+        with pytest.raises(errors.InvalidLabel, match="comma in drug id 'a,b'"):
+            hs.make_instance([{"a,b", "c"}])
