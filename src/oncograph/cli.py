@@ -149,6 +149,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not 0 <= args.gda_threshold <= 1:
+        print(f"--gda-threshold {args.gda_threshold} must be in [0, 1]", file=sys.stderr)
+        return EXIT_USAGE
     g, _ = _load(args)
     out = _outdir(args)
     rows = []
@@ -252,11 +255,11 @@ def cmd_freq(args) -> int:
     if band_ids is not None:
         ids = band_ids if ids is None else (set(ids) & band_ids)
     profiles = co.profiles_from_graph(g, patient_ids=ids)
-    table = co.frequency_table(profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n)
+    rows = co.frequency_table(profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n)
     _write_tsv(
         out / "frequency.tsv",
         ["item", "percent"],
-        ((name, co.format_percent(pct)) for name, pct in table.rows),
+        ((name, co.format_percent(pct)) for name, pct in rows),
     )
     return EXIT_OK
 
@@ -322,7 +325,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add("build", cmd_build, "build the graph and report violations")
 
     p = add("check", cmd_check, "knowledge-vs-evidence consistency per disease")
-    p.add_argument("--gda-threshold", type=float, default=cfg.get("gda_threshold", 0.8))
+    p.add_argument(
+        "--gda-threshold", type=exact_number,
+        default=str(cfg.get("gda_threshold", knowledge.DEFAULT_GDA_THRESHOLD)),
+    )
     p.add_argument(
         "--granularity", choices=["mutation", "gene"],
         default=cfg.get("granularity", "gene"),

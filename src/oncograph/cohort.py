@@ -60,13 +60,6 @@ class FrequencyMode(enum.Enum):
     GENE_WITHOUT_MULTIPLICITY = "gene_without_multiplicity"
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    mode: FrequencyMode
-    population: str
-    rows: tuple[tuple[str, Fraction], ...]  # (item id, percent) sorted
-
-
 def format_percent(value: Fraction) -> str:
     """Render an exact percentage with one decimal, rounding half-up."""
     d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
@@ -337,9 +330,9 @@ def frequency_table(
     profiles: list[MutationProfile],
     mode: FrequencyMode = FrequencyMode.MUTATION,
     top_n: int | None = 10,
-    population: str = "all",
-) -> FrequencyTable:
-    """Most frequent mutations or genes with exact percentages.
+) -> tuple[tuple[str, Fraction], ...]:
+    """Most frequent mutations or genes as (item id, exact percent) rows,
+    by descending percent, then item id.
 
     mutation: per-mutation occurrences over total occurrences.
     gene_with_multiplicity: per-gene occurrences (every mutation instance
@@ -366,7 +359,7 @@ def frequency_table(
     )
     if top_n is not None:
         rows = rows[:top_n]
-    return FrequencyTable(mode=mode, population=population, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _gene_of(item) -> str:

@@ -57,7 +57,6 @@ class Untargetable(OncographError):
     """A target mutation has no drug acting on it; names the mutation."""
 
     def __init__(self, mutation):
-        self.mutation = mutation
         super().__init__(f"untargetable mutation {mutation}")
 
 

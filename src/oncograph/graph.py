@@ -10,7 +10,7 @@ pairwise disjoint; ``validate`` reports every violation of these rules.
 The per-color edge records are the source of truth; ``validate`` reads only
 them, so it also catches records that bypassed ``add_edge``. ``add_edge``
 also files each edge in the one index of its kind, keyed by plain ids:
-patient -> {mutation: vaf} (and mutation -> patients), disease -> patients,
+patient -> {mutation: vaf}, disease -> patients,
 disease -> {mutation: score}, mutation -> drugs and patient -> drugs.
 Duplicate checks and queries are lookups in these indexes.
 
@@ -21,6 +21,7 @@ reads and safe for concurrent use.
 from __future__ import annotations
 
 import enum
+from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,7 +79,6 @@ class MutationKey:
 @dataclass(frozen=True, slots=True)
 class DiseaseNode:
     disease_id: str
-    display_name: str = ""
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +117,7 @@ class TreatmentEdge:
 class GdaAssociation:
     disease_id: str
     mutation: MutationKey
-    gda_score: float
+    gda_score: Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,9 +208,8 @@ class KnowledgeGraph:
         }
         # One index per edge kind, filled by add_edge alongside the records.
         self._vaf: dict[str, dict[MutationKey, float | None]] = {}
-        self._carriers: dict[MutationKey, set[str]] = {}
         self._diagnosed: dict[str, set[str]] = {}
-        self._gda: dict[str, dict[MutationKey, float]] = {}
+        self._gda: dict[str, dict[MutationKey, Fraction]] = {}
         self._targets: dict[MutationKey, set[str]] = {}
         self._treated: dict[str, set[str]] = {}
 
@@ -264,8 +263,8 @@ class KnowledgeGraph:
         return self._patients
 
     @property
-    def mutations(self) -> set[MutationKey]:
-        return set(self._mutations)
+    def mutations(self) -> KeysView[MutationKey]:
+        return self._mutations.keys()
 
     @property
     def diseases(self) -> dict[str, DiseaseNode]:
@@ -314,7 +313,6 @@ class KnowledgeGraph:
             if mutation in vafs:
                 raise errors.DuplicateEdge(f"genetic edge {pid}-{mutation.display()}")
             vafs[mutation] = edge.vaf
-            self._carriers.setdefault(mutation, set()).add(pid)
             a, b = (Partition.PATIENT, pid), (Partition.MUTATION, mutation)
             color = EdgeColor.GREEN
         elif isinstance(edge, DiagnosisEdge):
@@ -421,16 +419,11 @@ class KnowledgeGraph:
         self.patient(patient_id)
         return set(self._vaf.get(patient_id, ()))
 
-    def patients_with_mutation(self, mutation: MutationKey) -> set[str]:
-        if mutation not in self._mutations:
-            raise errors.UnknownMutation(mutation.display())
-        return set(self._carriers.get(mutation, ()))
-
     def patients_of_disease(self, disease_id: str) -> set[str]:
         self.disease(disease_id)
         return set(self._diagnosed.get(disease_id, ()))
 
-    def gda_scores(self, disease_id: str) -> dict[MutationKey, float]:
+    def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
         """Magenta disease-mutation neighbors of d with their scores."""
         self.disease(disease_id)
         return dict(self._gda.get(disease_id, {}))

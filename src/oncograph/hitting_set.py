@@ -13,6 +13,9 @@ sets are small in practice.
 
 Tie-breaking is fixed everywhere: total weight, then cardinality, then the
 lexicographically smallest sorted drug-id tuple.
+
+Instances come from a patient's graph neighborhood (``build_instance``) or
+from bare drug-id sets (``make_instance``); they have no file format.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey
@@ -39,8 +42,7 @@ class HittingSetInstance:
         u = set(self.universe)
         for i, s in enumerate(self.family):
             if not s:
-                m = self.origin.get(i)
-                raise errors.Untargetable(m.display() if m else f"set #{i}")
+                raise errors.Untargetable(f"set #{i}")
             if not s <= u:
                 raise ValueError(f"family set #{i} not within universe")
 
@@ -85,11 +87,11 @@ def build_instance(
 def make_instance(
     family: Iterable[Iterable[str]],
     weights: Mapping[str, Fraction | int] | None = None,
-    origin: Mapping[int, MutationKey] | None = None,
 ) -> HittingSetInstance:
     """Instance from bare drug-id sets; missing weights default to 1.
 
-    A drug id may not contain a comma, the separator of ``write_instance``.
+    A drug id may not contain a comma: ids follow the rule of the parse
+    boundary, where ids are comma-joined in outputs and ``treat --targets``.
     """
     fam = tuple(frozenset(s) for s in family)
     universe = tuple(sorted(set().union(*fam)))
@@ -102,7 +104,7 @@ def make_instance(
             if Fraction(v) < 0:
                 raise errors.InvalidLabel(f"negative weight for {d}")
             w[d] = Fraction(v)
-    return HittingSetInstance(universe, fam, w, origin or {})
+    return HittingSetInstance(universe, fam, w)
 
 
 def _assemble(instance: HittingSetInstance, drugs: frozenset[str]) -> TreatmentSolution:
@@ -201,29 +203,3 @@ def oracle_solve(
             best = min(best, (total, len(drugs), drugs))
     return _assemble(instance, frozenset(best[2]))
 
-
-# ----------------------------------------------------------------------
-# Small text interchange format: one line per family set (comma-separated
-# drug ids); optional weight lines "drug<TAB>weight".
-
-def write_instance(instance: HittingSetInstance, stream: TextIO) -> None:
-    for s in instance.family:
-        stream.write(",".join(sorted(s)) + "\n")
-    for d in instance.universe:
-        if instance.weights[d] != 1:
-            stream.write(f"{d}\t{instance.weights[d]}\n")
-
-
-def read_instance(stream: TextIO) -> HittingSetInstance:
-    family: list[frozenset[str]] = []
-    weights: dict[str, Fraction] = {}
-    for raw in stream:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "\t" in line:
-            drug, w = line.split("\t", 1)
-            weights[drug.strip()] = Fraction(w.strip())
-        else:
-            family.append(frozenset(p.strip() for p in line.split(",") if p.strip()))
-    return make_instance(family, weights)

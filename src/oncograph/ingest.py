@@ -1,19 +1,18 @@
 """Tabular ingestion: TSV parsers and graph construction.
 
 Inputs are tab-separated UTF-8 files with '#'-prefixed comment lines and a
-header row; logical columns are mapped to header names through a schema
-config so exports with different column spellings can be ingested without
-editing them. Malformed rows are collected into a report with line numbers,
-never silently dropped.
+header row; each table's header names are fixed, some columns optional.
+Malformed rows are collected into a report with line numbers, never
+silently dropped.
 """
 
 from __future__ import annotations
 
-
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, TextIO
 
 from . import errors
 from .graph import (
@@ -30,42 +29,41 @@ from .graph import (
     TreatmentEdge,
 )
 
-# Default logical-column -> header-name mappings.
-MUTATION_COLUMNS = {
-    "sample_id": "sample_id",
-    "gene": "gene",
-    "chromosome": "chromosome",
-    "start": "start_position",
-    "end": "end_position",
-    "vaf": "vaf",  # optional
-}
-CLINICAL_COLUMNS = {
-    "sample_id": "sample_id",
-    "cancer_type": "cancer_type",
-    "os_months": "os_months",
-    "os_status": "os_status",
-}
-GDA_COLUMNS = {"gene": "gene", "disease": "disease", "gda_score": "gda_score"}
-DRUG_COLUMNS = {
-    "drug_id": "drug",
-    "gene": "gene",
-    "weight": "weight",  # optional
-    "adverse_effects": "adverse_effects",  # optional
-}
-TREATMENT_COLUMNS = {
-    "sample_id": "sample_id",
-    "drug_id": "drug_id",
-    "order": "order",
-    "effectiveness": "effectiveness",
-}
-
-_OPTIONAL = {
-    "mutation": {"vaf"},
-    "clinical": set(),
-    "gda": set(),
-    "drug": {"weight", "adverse_effects"},
-    "treatment": set(),
-}
+# Per table: logical column -> header name, the required columns, then the
+# optional ones.
+MUTATION_COLUMNS = (
+    {
+        "sample_id": "sample_id",
+        "gene": "gene",
+        "chromosome": "chromosome",
+        "start": "start_position",
+        "end": "end_position",
+    },
+    {"vaf": "vaf"},
+)
+CLINICAL_COLUMNS = (
+    {
+        "sample_id": "sample_id",
+        "cancer_type": "cancer_type",
+        "os_months": "os_months",
+        "os_status": "os_status",
+    },
+    {},
+)
+GDA_COLUMNS = ({"gene": "gene", "disease": "disease", "gda_score": "gda_score"}, {})
+DRUG_COLUMNS = (
+    {"drug_id": "drug", "gene": "gene"},
+    {"weight": "weight", "adverse_effects": "adverse_effects"},
+)
+TREATMENT_COLUMNS = (
+    {
+        "sample_id": "sample_id",
+        "drug_id": "drug_id",
+        "order": "order",
+        "effectiveness": "effectiveness",
+    },
+    {},
+)
 
 _VAF_SENTINELS = {"", "na", "nan", "n/a", "unknown", "."}
 
@@ -105,7 +103,7 @@ class ClinicalTableRow:
 class GdaTableRow:
     gene: str
     disease: str
-    gda_score: float
+    gda_score: Fraction
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +147,7 @@ def undecodable_line(path) -> int:
     return 0
 
 
-def _parse_table(source, columns: Mapping[str, str], kind: str, row_fn) -> ParseResult:
+def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     """Shared TSV scaffolding: comments, header mapping, per-row conversion.
 
     ``row_fn(values: dict[str, str | None]) -> row`` raises ValueError with a
@@ -158,7 +156,7 @@ def _parse_table(source, columns: Mapping[str, str], kind: str, row_fn) -> Parse
     stream, name = _open(source)
     close = not hasattr(source, "read")
     result = ParseResult(rows=[])
-    optional = _OPTIONAL[kind]
+    required, optional = columns
     try:
         header: list[str] | None = None
         index: dict[str, int] = {}
@@ -169,10 +167,10 @@ def _parse_table(source, columns: Mapping[str, str], kind: str, row_fn) -> Parse
             fields = line.split("\t")
             if header is None:
                 header = [h.strip() for h in fields]
-                for logical, colname in columns.items():
+                for logical, colname in (*required.items(), *optional.items()):
                     if colname in header:
                         index[logical] = header.index(colname)
-                    elif logical not in optional:
+                    elif logical in required:
                         raise errors.MissingColumn(
                             f"{name}: header lacks column '{colname}' ({logical})"
                         )
@@ -182,7 +180,7 @@ def _parse_table(source, columns: Mapping[str, str], kind: str, row_fn) -> Parse
             missing = [
                 logical
                 for logical, i in index.items()
-                if logical not in optional and (i >= len(fields) or not fields[i].strip())
+                if logical in required and (i >= len(fields) or not fields[i].strip())
             ]
             if missing:
                 result.issues.append(
@@ -238,7 +236,7 @@ def _parse_int(text: str, what: str) -> int:
         raise ValueError(f"non-integer {what} '{text}'") from None
 
 
-def parse_mutation_table(source, columns: Mapping[str, str] | None = None) -> ParseResult:
+def parse_mutation_table(source) -> ParseResult:
     def row_fn(v):
         start = _parse_int(v["start"], "start_position")
         end = _parse_int(v["end"], "end_position")
@@ -253,19 +251,21 @@ def parse_mutation_table(source, columns: Mapping[str, str] | None = None) -> Pa
             vaf=_parse_vaf(v.get("vaf")),
         )
 
-    return _parse_table(source, columns or MUTATION_COLUMNS, "mutation", row_fn)
+    return _parse_table(source, MUTATION_COLUMNS, row_fn)
 
 
 _LIVING = {"living", "alive", "0:living"}
 _DECEASED = {"deceased", "dead", "1:deceased"}
 
 
-def parse_clinical_table(source, columns: Mapping[str, str] | None = None) -> ParseResult:
+def parse_clinical_table(source) -> ParseResult:
     def row_fn(v):
         try:
             months = float(v["os_months"])
         except ValueError:
-            raise ValueError(f"non-numeric os_months '{v['os_months']}'") from None
+            months = math.nan
+        if not math.isfinite(months):  # months are floored to an int at build
+            raise ValueError(f"non-numeric os_months '{v['os_months']}'")
         if months < 0:
             raise ValueError(f"negative os_months {months}")
         status = v["os_status"].lower()
@@ -282,23 +282,27 @@ def parse_clinical_table(source, columns: Mapping[str, str] | None = None) -> Pa
             vital_status=status,
         )
 
-    return _parse_table(source, columns or CLINICAL_COLUMNS, "clinical", row_fn)
+    return _parse_table(source, CLINICAL_COLUMNS, row_fn)
 
 
-def parse_gda_table(source, columns: Mapping[str, str] | None = None) -> ParseResult:
+def parse_gda_table(source) -> ParseResult:
     def row_fn(v):
+        text = v["gda_score"]
         try:
-            score = float(v["gda_score"])
+            approx = float(text)
         except ValueError:
-            raise ValueError(f"non-numeric gda_score '{v['gda_score']}'") from None
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"gda_score {score} outside [0, 1]")
+            raise ValueError(f"non-numeric gda_score '{text}'") from None
+        # The float decides which texts are numbers and renders the message;
+        # the score is the exact value of the decimal text.
+        score = Fraction(decimal.Decimal(text)) if math.isfinite(approx) else math.inf
+        if not 0 <= score <= 1:
+            raise ValueError(f"gda_score {approx} outside [0, 1]")
         return GdaTableRow(gene=v["gene"], disease=v["disease"].strip(), gda_score=score)
 
-    return _parse_table(source, columns or GDA_COLUMNS, "gda", row_fn)
+    return _parse_table(source, GDA_COLUMNS, row_fn)
 
 
-def parse_drug_target_table(source, columns: Mapping[str, str] | None = None) -> ParseResult:
+def parse_drug_target_table(source) -> ParseResult:
     def row_fn(v):
         weight = None
         wtext = v.get("weight")
@@ -316,10 +320,10 @@ def parse_drug_target_table(source, columns: Mapping[str, str] | None = None) ->
             adverse_effects=v.get("adverse_effects") or None,
         )
 
-    return _parse_table(source, columns or DRUG_COLUMNS, "drug", row_fn)
+    return _parse_table(source, DRUG_COLUMNS, row_fn)
 
 
-def parse_treatment_table(source, columns: Mapping[str, str] | None = None) -> ParseResult:
+def parse_treatment_table(source) -> ParseResult:
     codes = {e.value: e for e in Effectiveness}
 
     def row_fn(v):
@@ -333,7 +337,7 @@ def parse_treatment_table(source, columns: Mapping[str, str] | None = None) -> P
             sample_id=v["sample_id"], drug_id=v["drug_id"], order=order, effectiveness=eff
         )
 
-    return _parse_table(source, columns or TREATMENT_COLUMNS, "treatment", row_fn)
+    return _parse_table(source, TREATMENT_COLUMNS, row_fn)
 
 
 def build_graph(
@@ -370,7 +374,7 @@ def build_graph(
             )
         )
         if row.cancer_type not in graph.diseases:
-            graph.add_node(DiseaseNode(row.cancer_type, row.cancer_type))
+            graph.add_node(DiseaseNode(row.cancer_type))
         graph.add_edge(DiagnosisEdge(row.cancer_type, row.sample_id))
 
     # Collapse duplicate (patient, mutation) rows keeping the max VAF (None
@@ -405,7 +409,7 @@ def build_graph(
             graph.add_node(mutation)
         graph.add_edge(GeneticEdge(key[0], mutation, best[key]))
 
-    gda_best: dict[tuple[str, str], float] = {}
+    gda_best: dict[tuple[str, str], Fraction] = {}
     for row in gda_rows:
         key = (row.disease, row.gene)
         if key in gda_best:
@@ -415,7 +419,7 @@ def build_graph(
             gda_best[key] = row.gda_score
     for (disease, gene), score in sorted(gda_best.items()):
         if disease not in graph.diseases:
-            graph.add_node(DiseaseNode(disease, disease))
+            graph.add_node(DiseaseNode(disease))
         matches = graph.mutations_of_gene(gene)
         if not matches:
             note("info", f"gda row {gene}/{disease}: no mutation node on gene {gene}")

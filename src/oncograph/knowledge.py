@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import errors
 from .cohort import profiles_from_graph
 from .graph import KnowledgeGraph, MutationKey
 
-DEFAULT_GDA_THRESHOLD = 0.8
+DEFAULT_GDA_THRESHOLD = Fraction(4, 5)
 
 
 class Granularity(enum.Enum):
@@ -33,13 +34,10 @@ class ConsistencyStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class DiseaseEvidence:
-    disease_id: str
     patients: frozenset[str]
     union_mutations: frozenset
     common_mutations: frozenset
     known_mutations: frozenset
-    gda_threshold: float
-    granularity: Granularity
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,10 @@ class ConsistencyVerdict:
 
 
 def known_mutations(
-    graph: KnowledgeGraph, disease_id: str, gda_threshold: float = DEFAULT_GDA_THRESHOLD
+    graph: KnowledgeGraph, disease_id: str, gda_threshold: Fraction = DEFAULT_GDA_THRESHOLD
 ) -> set[MutationKey]:
-    """Mutations associated with the disease at score >= threshold."""
+    """Mutations associated with the disease at score >= threshold; the
+    scores are exact Fractions, so an exact threshold is compared exactly."""
     if not 0.0 <= gda_threshold <= 1.0:
         raise errors.InvalidLabel(f"gda_threshold {gda_threshold} outside [0, 1]")
     return {
@@ -75,7 +74,7 @@ def classify(missing: frozenset, unsupported: frozenset) -> ConsistencyStatus:
 def check_consistency(
     graph: KnowledgeGraph,
     disease_id: str,
-    gda_threshold: float = DEFAULT_GDA_THRESHOLD,
+    gda_threshold: Fraction = DEFAULT_GDA_THRESHOLD,
     granularity: Granularity = Granularity.GENE,
 ) -> tuple[DiseaseEvidence, ConsistencyVerdict]:
     """Compare curated knowledge against evidence for one disease.
@@ -95,13 +94,10 @@ def check_consistency(
     union = frozenset().union(*items)
     common = frozenset.intersection(*items) if items else frozenset()
     evidence = DiseaseEvidence(
-        disease_id=disease_id,
         patients=cohort,
         union_mutations=union,
         common_mutations=common,
         known_mutations=known,
-        gda_threshold=gda_threshold,
-        granularity=granularity,
     )
     missing = common - known
     unsupported = known - common

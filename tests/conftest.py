@@ -65,7 +65,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50) -> KnowledgeGraph:
     for m in mutations:
         g.add_node(m)
     for d in diseases:
-        g.add_node(DiseaseNode(d, d))
+        g.add_node(DiseaseNode(d))
     for d in drugs:
         g.add_node(DrugNode(d))
     for pid in patients:

@@ -268,8 +268,8 @@ def test_replay_msk_mettropism_top_mutation():
     drg = ingest.parse_drug_target_table(base / "drugs.tsv")
     g, _ = ingest.build_graph(mut.rows, cli_rows.rows, gda.rows, drg.rows)
     profiles = cohort.profiles_from_graph(g)
-    table = cohort.frequency_table(profiles, cohort.FrequencyMode.MUTATION, top_n=1)
-    item, pct = table.rows[0]
+    rows = cohort.frequency_table(profiles, cohort.FrequencyMode.MUTATION, top_n=1)
+    item, pct = rows[0]
     assert item == "KRAS_12_25398284_25398284"
     assert abs(float(pct) - 12.7) <= 0.1
     ok("replay: MSK top mutation frequency")

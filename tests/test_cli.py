@@ -174,6 +174,26 @@ class TestExactThresholds:
         assert ">= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gda_threshold_is_compared_exactly(self, tmp_path):
+        # float("0.29999999999999999") is 0.3, but the score is below 3/10.
+        args = write_inputs(tmp_path, ["P1"], [("P1", "KRAS"), ("P1", "TP53")])
+        (tmp_path / "gda.tsv").write_text(
+            "gene\tdisease\tgda_score\nKRAS\tLUAD\t0.3\nTP53\tLUAD\t0.29999999999999999\n"
+        )
+        argv = ["check", "--gda-threshold", "0.3", "--granularity", "mutation"] + args
+        assert run(argv) == 0
+        row = (tmp_path / "out" / "knowledge_check.tsv").read_text().splitlines()[1]
+        assert row.split("\t")[:5] == ["LUAD", "1", "2", "2", "1"]
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    def test_gda_threshold_outside_unit_interval_is_usage_error(
+        self, tmp_path, threshold, capsys
+    ):
+        out = tmp_path / "out"
+        assert run(["check", f"--gda-threshold={threshold}"] + fixture_args(out)) == 64
+        capsys.readouterr()
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_inputs_and_defaults(self, tmp_path, monkeypatch):

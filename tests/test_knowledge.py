@@ -1,4 +1,6 @@
+import io
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +13,7 @@ from oncograph import (
     KnowledgeGraph,
     PatientRecord,
     errors,
+    ingest,
     knowledge,
 )
 from oncograph.knowledge import ConsistencyStatus, Granularity
@@ -21,7 +24,7 @@ from conftest import make_mutation, random_graph
 def graph_with(profiles, known=(), disease="D1", scores=None):
     """profiles: {patient: [mutations]}; known: mutations linked to disease."""
     g = KnowledgeGraph()
-    g.add_node(DiseaseNode(disease, disease))
+    g.add_node(DiseaseNode(disease))
     all_muts = {m for muts in profiles.values() for m in muts} | set(known)
     for m in sorted(all_muts):
         g.add_node(m)
@@ -53,7 +56,7 @@ class TestSetOperations:
 
     def test_patients_of_fixture(self):
         g = graph_with({"P1": [M1], "P2": [M2]})
-        g.add_node(DiseaseNode("D2", "D2"))
+        g.add_node(DiseaseNode("D2"))
         g.add_node(PatientRecord("P3", 5, False))
         g.add_edge(DiagnosisEdge("D2", "P3"))
         assert g.patients_of_disease("D1") == {"P1", "P2"}
@@ -96,6 +99,28 @@ class TestKnownMutations:
                 assert knowledge.known_mutations(g, d, t2) <= knowledge.known_mutations(
                     g, d, t1
                 )
+
+    def test_scores_read_from_text_are_compared_exactly(self):
+        # float("0.29999999999999999") is 0.3, but the score is below 3/10; and
+        # the default threshold is exactly 4/5, which a score of 0.8 reaches.
+        gda = ingest.parse_gda_table(
+            io.StringIO(
+                "gene\tdisease\tgda_score\nKRAS\tD1\t0.3\n"
+                "TP53\tD1\t0.29999999999999999\nBRAF\tD1\t0.8\n"
+            )
+        )
+        g, _ = ingest.build_graph(
+            [ingest.MutationTableRow("P1", gene, "1", 1, 1) for gene in ("KRAS", "TP53", "BRAF")],
+            [ingest.ClinicalTableRow("P1", "D1", 10.0, "living")],
+            gda.rows,
+            [],
+        )
+
+        def genes(*threshold):
+            return {m.gene for m in knowledge.known_mutations(g, "D1", *threshold)}
+
+        assert genes(Fraction(3, 10)) == {"KRAS", "BRAF"}
+        assert genes() == {"BRAF"}
 
 
 class TestConsistency:
