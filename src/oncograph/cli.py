@@ -199,21 +199,14 @@ def cmd_cohort(args) -> int:
     g, _ = _load(args)
     out = _outdir(args)
     try:
-        part = co.survival_partition(g, t_long=args.t_long, t_short=args.t_short)
+        bands = _survival_bands(g, args.t_long, args.t_short)
     except errors.InvalidThresholds as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    band_of = {}
-    for pid in part.long_survivors:
-        band_of[pid] = "long"
-    for pid in part.short_deceased:
-        band_of[pid] = "short"
-    for pid in part.rest:
-        band_of[pid] = "rest"
     _write_tsv(
         out / "survival_bands.tsv",
         ["patient_id", "band"],
-        sorted(band_of.items()),
+        sorted((pid, band) for band, pids in bands.items() for pid in pids),
     )
     profiles = co.profiles_from_graph(g, gene_level=args.granularity == "gene")
     groups = co.group_by_threshold(
@@ -230,15 +223,13 @@ def cmd_cohort(args) -> int:
     return EXIT_OK
 
 
-def _band_filter(g, band: str, t_long: int, t_short: int):
-    if band == "all":
-        return None
+# The names of the survival bands, in the order of SurvivalPartition's fields.
+_BANDS = ("long", "short", "rest")
+
+
+def _survival_bands(g, t_long: int, t_short: int) -> dict[str, frozenset[str]]:
     part = co.survival_partition(g, t_long=t_long, t_short=t_short)
-    return {
-        "long": part.long_survivors,
-        "short": part.short_deceased,
-        "rest": part.rest,
-    }[band]
+    return dict(zip(_BANDS, (part.long_survivors, part.short_deceased, part.rest)))
 
 
 def cmd_freq(args) -> int:
@@ -251,8 +242,8 @@ def cmd_freq(args) -> int:
         except errors.UnknownDisease:
             print(f"unknown disease {args.disease}", file=sys.stderr)
             return EXIT_DOMAIN
-    band_ids = _band_filter(g, args.band, args.t_long, args.t_short)
-    if band_ids is not None:
+    if args.band != "all":
+        band_ids = _survival_bands(g, args.t_long, args.t_short)[args.band]
         ids = band_ids if ids is None else (set(ids) & band_ids)
     profiles = co.profiles_from_graph(g, patient_ids=ids)
     rows = co.frequency_table(profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n)
@@ -350,7 +341,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--top-n", type=int, default=cfg.get("top_n", 10))
     p.add_argument("--disease", default=None)
-    p.add_argument("--band", choices=["all", "long", "short", "rest"], default="all")
+    p.add_argument("--band", choices=["all", *_BANDS], default="all")
     p.add_argument("--t-long", type=int, default=cfg.get("t_long", 36))
     p.add_argument("--t-short", type=int, default=cfg.get("t_short", 6))
 

@@ -7,12 +7,17 @@ edge sets join them: green (patient-mutation, labeled with VAF), red
 No edge joins two nodes of the same partition and the colored sets are
 pairwise disjoint; ``validate`` reports every violation of these rules.
 
-The per-color edge records are the source of truth; ``validate`` reads only
-them, so it also catches records that bypassed ``add_edge``. ``add_edge``
-also files each edge in the one index of its kind, keyed by plain ids:
-patient -> {mutation: vaf}, disease -> patients,
-disease -> {mutation: score}, mutation -> drugs and patient -> drugs.
-Duplicate checks and queries are lookups in these indexes.
+One table declares each edge type: its color, its two endpoint partitions
+in order, how its endpoint keys and label are read, and whether a pair may
+repeat; another gives each node type's partition and key. ``add_node``,
+``add_edge``, ``has_node``, ``neighbors`` and ``validate`` read these
+tables, and each edge type fills an index of its own. The per-color edge
+records are the source of truth; ``validate`` reads only them, so it also
+catches records that bypassed ``add_edge``. Every index has one shape,
+first key -> {second key: label}, where the label is the VAF, the GDA score
+or None: patient -> mutations, disease -> patients, disease -> mutations,
+mutation -> drugs and patient -> drugs. Duplicate checks and queries are
+lookups in these indexes.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -21,9 +26,10 @@ reads and safe for concurrent use.
 from __future__ import annotations
 
 import enum
-from collections.abc import KeysView
+from collections.abc import Callable, KeysView
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 
@@ -59,12 +65,12 @@ class PatientRecord:
     alive: bool
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MutationKey:
+class MutationKey(NamedTuple):
     """Structured identity of a gene mutation.
 
     The underscore-joined form (e.g. ``KRAS_12_25398284_25398284``) is a
-    rendering only; identity is the 4-field tuple.
+    rendering only; identity is the 4-field tuple, so a key equals, hashes
+    and sorts as the plain tuple of its fields.
     """
 
     gene: str
@@ -161,35 +167,57 @@ class _EdgeRecord:
     edge: Edge
 
 
-# Allowed (ordered) partition pairs per color, each numbered so that
-# validate can name an endpoint pair by a plain tuple.
-_ALLOWED_PAIRS = {
-    EdgeColor.GREEN: {(Partition.PATIENT, Partition.MUTATION): 0},
-    EdgeColor.RED: {
-        (Partition.DISEASE, Partition.PATIENT): 1,
-        (Partition.PATIENT, Partition.DRUG): 2,
-    },
-    EdgeColor.MAGENTA: {
-        (Partition.DISEASE, Partition.MUTATION): 3,
-        (Partition.MUTATION, Partition.DRUG): 4,
-    },
+class _EdgeKind(NamedTuple):
+    """How one edge type sits in the graph."""
+
+    color: EdgeColor
+    first: Partition
+    second: Partition
+    read: Callable  # edge -> (first key, second key, label)
+    duplicate: str | None  # what a repeated pair reports; None: it may repeat
+
+
+_EDGE_KINDS = {
+    GeneticEdge: _EdgeKind(
+        EdgeColor.GREEN, Partition.PATIENT, Partition.MUTATION,
+        lambda e: (e.patient_id, e.mutation, e.vaf), "genetic edge",
+    ),
+    DiagnosisEdge: _EdgeKind(
+        EdgeColor.RED, Partition.DISEASE, Partition.PATIENT,
+        lambda e: (e.disease_id, e.patient_id, None), "diagnosis",
+    ),
+    TreatmentEdge: _EdgeKind(
+        EdgeColor.RED, Partition.PATIENT, Partition.DRUG,
+        lambda e: (e.patient_id, e.drug_id, None), None,
+    ),
+    GdaAssociation: _EdgeKind(
+        EdgeColor.MAGENTA, Partition.DISEASE, Partition.MUTATION,
+        lambda e: (e.disease_id, e.mutation, e.gda_score), "gda",
+    ),
+    TargetEdge: _EdgeKind(
+        EdgeColor.MAGENTA, Partition.MUTATION, Partition.DRUG,
+        lambda e: (e.mutation, e.drug_id, None), "target",
+    ),
 }
 
-# Edge types for which at most one edge per endpoint pair may exist.
-_PAIRWISE_UNIQUE = (GeneticEdge, DiagnosisEdge, GdaAssociation, TargetEdge)
+# Each node type's partition and the field holding its key (None: the node
+# is its own key).
+_NODE_KINDS = {
+    PatientRecord: (Partition.PATIENT, "patient_id"),
+    MutationKey: (Partition.MUTATION, None),
+    DiseaseNode: (Partition.DISEASE, "disease_id"),
+    DrugNode: (Partition.DRUG, "drug_id"),
+}
 
-# Per color: (partition, partition, index) for each edge kind; the index
-# maps a key of the first partition to the adjacent keys of the second.
-_EDGE_INDEXES = {
-    EdgeColor.GREEN: ((Partition.PATIENT, Partition.MUTATION, "_vaf"),),
-    EdgeColor.RED: (
-        (Partition.DISEASE, Partition.PATIENT, "_diagnosed"),
-        (Partition.PATIENT, Partition.DRUG, "_treated"),
-    ),
-    EdgeColor.MAGENTA: (
-        (Partition.DISEASE, Partition.MUTATION, "_gda"),
-        (Partition.MUTATION, Partition.DRUG, "_targets"),
-    ),
+# The ordered partition pairs each color may join, numbered by edge kind so
+# that validate can name an endpoint pair by a plain tuple.
+_ALLOWED_PAIRS = {
+    color: {
+        (kind.first, kind.second): n
+        for n, kind in enumerate(_EDGE_KINDS.values())
+        if kind.color is color
+    }
+    for color in EdgeColor
 }
 
 
@@ -197,21 +225,17 @@ class KnowledgeGraph:
     """The union graph H over the four partitions and three edge colors."""
 
     def __init__(self) -> None:
-        self._patients: dict[str, PatientRecord] = {}
-        self._mutations: dict[MutationKey, MutationKey] = {}
-        self._diseases: dict[str, DiseaseNode] = {}
-        self._drugs: dict[str, DrugNode] = {}
+        # One table per partition, key -> node; the queries name them.
+        self._nodes: dict[Partition, dict] = {part: {} for part in Partition}
+        self._patients, self._mutations, self._diseases, self._drugs = self._nodes.values()
         self._by_gene: dict[str, set[MutationKey]] = {}
         self._by_display: dict[str, MutationKey] = {}
         self._records: dict[EdgeColor, list[_EdgeRecord]] = {
             c: [] for c in EdgeColor
         }
-        # One index per edge kind, filled by add_edge alongside the records.
-        self._vaf: dict[str, dict[MutationKey, float | None]] = {}
-        self._diagnosed: dict[str, set[str]] = {}
-        self._gda: dict[str, dict[MutationKey, Fraction]] = {}
-        self._targets: dict[MutationKey, set[str]] = {}
-        self._treated: dict[str, set[str]] = {}
+        # One index per edge type, first key -> {second key: label}, filled
+        # by add_edge alongside the records.
+        self._index: dict[type, dict[object, dict]] = {t: {} for t in _EDGE_KINDS}
 
     # ------------------------------------------------------------------
     # Nodes
@@ -219,16 +243,12 @@ class KnowledgeGraph:
     def add_node(self, node) -> NodeRef:
         """Insert a node into its partition; raises DuplicateNode on id reuse
         and InvalidLabel when the node breaks a rule of its partition."""
-        if isinstance(node, PatientRecord):
-            part, key, table = Partition.PATIENT, node.patient_id, self._patients
-        elif isinstance(node, MutationKey):
-            part, key, table = Partition.MUTATION, node, self._mutations
-        elif isinstance(node, DiseaseNode):
-            part, key, table = Partition.DISEASE, node.disease_id, self._diseases
-        elif isinstance(node, DrugNode):
-            part, key, table = Partition.DRUG, node.drug_id, self._drugs
-        else:
-            raise TypeError(f"unsupported node type {type(node).__name__}")
+        try:
+            part, field = _NODE_KINDS[type(node)]
+        except KeyError:
+            raise TypeError(f"unsupported node type {type(node).__name__}") from None
+        key = node if field is None else getattr(node, field)
+        table = self._nodes[part]
         if key in table:
             raise errors.DuplicateNode(f"{part.value} {_key_text(key)}")
         issue = _node_issue(node)
@@ -300,77 +320,27 @@ class KnowledgeGraph:
 
         Raises InvalidLabel for out-of-range labels (checked first, as they
         depend on the edge alone), MissingEndpoint if an endpoint node is
-        absent, DuplicateEdge for pairwise-unique types.
+        absent, DuplicateEdge for a repeated pair of a kind that may not
+        repeat.
         """
         issue = _label_issue(edge)
         if issue:
             raise errors.InvalidLabel(issue)
-        if isinstance(edge, GeneticEdge):
-            pid, mutation = edge.patient_id, edge.mutation
-            self._require_patient(pid)
-            self._require_mutation(mutation)
-            vafs = self._vaf.setdefault(pid, {})
-            if mutation in vafs:
-                raise errors.DuplicateEdge(f"genetic edge {pid}-{mutation.display()}")
-            vafs[mutation] = edge.vaf
-            a, b = (Partition.PATIENT, pid), (Partition.MUTATION, mutation)
-            color = EdgeColor.GREEN
-        elif isinstance(edge, DiagnosisEdge):
-            did, pid = edge.disease_id, edge.patient_id
-            self._require_disease(did)
-            self._require_patient(pid)
-            patients = self._diagnosed.setdefault(did, set())
-            if pid in patients:
-                raise errors.DuplicateEdge(f"diagnosis {did}-{pid}")
-            patients.add(pid)
-            a, b = (Partition.DISEASE, did), (Partition.PATIENT, pid)
-            color = EdgeColor.RED
-        elif isinstance(edge, TreatmentEdge):
-            self._require_patient(edge.patient_id)
-            self._require_drug(edge.drug_id)
-            self._treated.setdefault(edge.patient_id, set()).add(edge.drug_id)
-            a, b = (Partition.PATIENT, edge.patient_id), (Partition.DRUG, edge.drug_id)
-            color = EdgeColor.RED
-        elif isinstance(edge, GdaAssociation):
-            did, mutation = edge.disease_id, edge.mutation
-            self._require_disease(did)
-            self._require_mutation(mutation)
-            scores = self._gda.setdefault(did, {})
-            if mutation in scores:
-                raise errors.DuplicateEdge(f"gda {did}-{mutation.display()}")
-            scores[mutation] = edge.gda_score
-            a, b = (Partition.DISEASE, did), (Partition.MUTATION, mutation)
-            color = EdgeColor.MAGENTA
-        elif isinstance(edge, TargetEdge):
-            mutation, drug_id = edge.mutation, edge.drug_id
-            self._require_mutation(mutation)
-            self._require_drug(drug_id)
-            drugs = self._targets.setdefault(mutation, set())
-            if drug_id in drugs:
-                raise errors.DuplicateEdge(f"target {mutation.display()}-{drug_id}")
-            drugs.add(drug_id)
-            a, b = (Partition.MUTATION, mutation), (Partition.DRUG, drug_id)
-            color = EdgeColor.MAGENTA
-        else:
-            raise TypeError(f"unsupported edge type {type(edge).__name__}")
-        self._records[color].append(_EdgeRecord(a, b, edge))
+        try:
+            kind = _EDGE_KINDS[type(edge)]
+        except KeyError:
+            raise TypeError(f"unsupported edge type {type(edge).__name__}") from None
+        a, b, label = kind.read(edge)
+        ends = ((kind.first, a), (kind.second, b))
+        for part, key in ends:
+            if key not in self._nodes[part]:
+                raise errors.MissingEndpoint(f"{part.value} {_key_text(key)}")
+        adjacent = self._index[type(edge)].setdefault(a, {})
+        if kind.duplicate and b in adjacent:
+            raise errors.DuplicateEdge(f"{kind.duplicate} {_key_text(a)}-{_key_text(b)}")
+        adjacent[b] = label
+        self._records[kind.color].append(_EdgeRecord(*ends, edge))
         return edge
-
-    def _require_patient(self, pid: str) -> None:
-        if pid not in self._patients:
-            raise errors.MissingEndpoint(f"patient {pid}")
-
-    def _require_mutation(self, m: MutationKey) -> None:
-        if m not in self._mutations:
-            raise errors.MissingEndpoint(f"mutation {m.display()}")
-
-    def _require_disease(self, did: str) -> None:
-        if did not in self._diseases:
-            raise errors.MissingEndpoint(f"disease {did}")
-
-    def _require_drug(self, did: str) -> None:
-        if did not in self._drugs:
-            raise errors.MissingEndpoint(f"drug {did}")
 
     def edge_records(self, color: EdgeColor) -> list[_EdgeRecord]:
         """Raw colored edge records (used by validate and audit code)."""
@@ -384,15 +354,7 @@ class KnowledgeGraph:
 
     def has_node(self, ref: NodeRef) -> bool:
         part, key = ref
-        if part is Partition.PATIENT:
-            return key in self._patients
-        if part is Partition.MUTATION:
-            return key in self._mutations
-        if part is Partition.DISEASE:
-            return key in self._diseases
-        if part is Partition.DRUG:
-            return key in self._drugs
-        return False
+        return key in self._nodes.get(part, ())
 
     def neighbors(
         self, ref: NodeRef, colors: EdgeColor | tuple[EdgeColor, ...] | None = None
@@ -406,36 +368,37 @@ class KnowledgeGraph:
             colors = (colors,)
         part, key = ref
         out: set[NodeRef] = set()
-        for color in colors:
-            for first, second, name in _EDGE_INDEXES[color]:
-                index = getattr(self, name)
-                if part is first:
-                    out.update((second, k) for k in index.get(key, ()))
-                elif part is second:  # reverse direction: scan the index
-                    out.update((first, k) for k, adj in index.items() if key in adj)
+        for edge_type, kind in _EDGE_KINDS.items():
+            if kind.color not in colors:
+                continue
+            index = self._index[edge_type]
+            if part is kind.first:
+                out.update((kind.second, k) for k in index.get(key, ()))
+            elif part is kind.second:  # reverse direction: scan the index
+                out.update((kind.first, k) for k, adj in index.items() if key in adj)
         return out
 
     def mutations_of_patient(self, patient_id: str) -> set[MutationKey]:
         self.patient(patient_id)
-        return set(self._vaf.get(patient_id, ()))
+        return set(self._index[GeneticEdge].get(patient_id, ()))
 
     def patients_of_disease(self, disease_id: str) -> set[str]:
         self.disease(disease_id)
-        return set(self._diagnosed.get(disease_id, ()))
+        return set(self._index[DiagnosisEdge].get(disease_id, ()))
 
     def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
         """Magenta disease-mutation neighbors of d with their scores."""
         self.disease(disease_id)
-        return dict(self._gda.get(disease_id, {}))
+        return dict(self._index[GdaAssociation].get(disease_id, {}))
 
     def target_drugs(self, mutation: MutationKey) -> set[str]:
         """Drugs with a known effect on the mutation (magenta neighbors)."""
         if mutation not in self._mutations:
             raise errors.UnknownMutation(mutation.display())
-        return set(self._targets.get(mutation, ()))
+        return set(self._index[TargetEdge].get(mutation, ()))
 
     def vaf(self, patient_id: str, mutation: MutationKey) -> float | None:
-        return self._vaf[patient_id][mutation]
+        return self._index[GeneticEdge][patient_id][mutation]
 
 
 def validate(graph: KnowledgeGraph) -> list[Violation]:
@@ -446,8 +409,8 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
     overlap checks run over structurally sound records only.
     """
     out: list[Violation] = []
-    for table in (graph._patients.values(), graph._mutations, graph._drugs.values()):
-        for node in table:
+    for table in graph._nodes.values():
+        for node in table.values():
             issue = _node_issue(node)
             if issue:
                 out.append(Violation(NODE_INVARIANT, issue))
@@ -504,7 +467,7 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
                         f"pair {_pair_text(rec)} appears in both {prev.value} and {color.value}",
                     )
                 )
-            elif isinstance(rec.edge, _PAIRWISE_UNIQUE):
+            elif getattr(_EDGE_KINDS.get(type(rec.edge)), "duplicate", None):
                 repeats.append(
                     Violation(DUPLICATE_EDGE, f"duplicate {color.value} edge {_pair_text(rec)}")
                 )

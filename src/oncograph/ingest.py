@@ -220,13 +220,24 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
 def _parse_vaf(text: str | None) -> float | None:
     if text is None or text.lower() in _VAF_SENTINELS:
         return None
+    return _unit_interval("vaf", text)
+
+
+def _unit_interval(column: str, text: str) -> float:
+    """The float of a cell whose exact decimal value must lie in [0, 1].
+
+    Rounding to a float is monotonic, so only a float of exactly 0.0 or 1.0
+    can hide an out-of-range text; only then is the text compared exactly.
+    """
     try:
-        vaf = float(text)
+        approx = float(text)
     except ValueError:
-        raise ValueError(f"non-numeric vaf '{text}'") from None
-    if not 0.0 <= vaf <= 1.0:
-        raise ValueError(f"vaf {vaf} outside [0, 1]")
-    return vaf
+        raise ValueError(f"non-numeric {column} '{text}'") from None
+    if not 0.0 <= approx <= 1.0:
+        raise ValueError(f"{column} {approx} outside [0, 1]")
+    if approx in (0.0, 1.0) and not 0 <= decimal.Decimal(text) <= 1:
+        raise ValueError(f"{column} {text} outside [0, 1]")
+    return approx
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -288,15 +299,9 @@ def parse_clinical_table(source) -> ParseResult:
 def parse_gda_table(source) -> ParseResult:
     def row_fn(v):
         text = v["gda_score"]
-        try:
-            approx = float(text)
-        except ValueError:
-            raise ValueError(f"non-numeric gda_score '{text}'") from None
-        # The float decides which texts are numbers and renders the message;
-        # the score is the exact value of the decimal text.
-        score = Fraction(decimal.Decimal(text)) if math.isfinite(approx) else math.inf
-        if not 0 <= score <= 1:
-            raise ValueError(f"gda_score {approx} outside [0, 1]")
+        _unit_interval("gda_score", text)
+        # The score is the exact value of the decimal text.
+        score = Fraction(decimal.Decimal(text))
         return GdaTableRow(gene=v["gene"], disease=v["disease"].strip(), gda_score=score)
 
     return _parse_table(source, GDA_COLUMNS, row_fn)

@@ -224,6 +224,62 @@ class TestNeighbors:
                     assert rec.a in g.neighbors(rec.b, color)
 
 
+GHOST_MUT = MutationKey("GHOST", "9", 5, 5)
+KRAS = KRAS_MUT.display()
+POS = Effectiveness.POSITIVE
+
+
+@pytest.mark.parametrize(
+    "method, items, exc, text",
+    [
+        # A missing endpoint, first or second, for each edge kind.
+        ("add_edge", [GeneticEdge("NOPE", KRAS_MUT, 0.3)], errors.MissingEndpoint, "patient NOPE"),
+        ("add_edge", [GeneticEdge("P1", GHOST_MUT, 0.3)], errors.MissingEndpoint,
+         "mutation GHOST_9_5_5"),
+        ("add_edge", [DiagnosisEdge("NOPE", "P1")], errors.MissingEndpoint, "disease NOPE"),
+        ("add_edge", [DiagnosisEdge("D1", "NOPE")], errors.MissingEndpoint, "patient NOPE"),
+        ("add_edge", [TreatmentEdge("NOPE", "drugA", 1, POS)], errors.MissingEndpoint,
+         "patient NOPE"),
+        ("add_edge", [TreatmentEdge("P1", "NOPE", 1, POS)], errors.MissingEndpoint, "drug NOPE"),
+        ("add_edge", [GdaAssociation("NOPE", KRAS_MUT, Fraction(1, 2))], errors.MissingEndpoint,
+         "disease NOPE"),
+        ("add_edge", [GdaAssociation("D1", GHOST_MUT, Fraction(1, 2))], errors.MissingEndpoint,
+         "mutation GHOST_9_5_5"),
+        ("add_edge", [TargetEdge(GHOST_MUT, "drugA")], errors.MissingEndpoint,
+         "mutation GHOST_9_5_5"),
+        ("add_edge", [TargetEdge(KRAS_MUT, "NOPE")], errors.MissingEndpoint, "drug NOPE"),
+        # A repeated pair of each kind that may not repeat.
+        ("add_edge", [GeneticEdge("P1", KRAS_MUT, 0.3)] * 2, errors.DuplicateEdge,
+         f"genetic edge P1-{KRAS}"),
+        ("add_edge", [DiagnosisEdge("D1", "P1")] * 2, errors.DuplicateEdge, "diagnosis D1-P1"),
+        ("add_edge", [GdaAssociation("D1", KRAS_MUT, Fraction(1, 2))] * 2, errors.DuplicateEdge,
+         f"gda D1-{KRAS}"),
+        ("add_edge", [TargetEdge(KRAS_MUT, "drugA")] * 2, errors.DuplicateEdge,
+         f"target {KRAS}-drugA"),
+        # A reused id in each partition.
+        ("add_node", [PatientRecord("P1", 3, True)], errors.DuplicateNode, "patient P1"),
+        ("add_node", [KRAS_MUT], errors.DuplicateNode, f"mutation {KRAS}"),
+        ("add_node", [DiseaseNode("D1")], errors.DuplicateNode, "disease D1"),
+        ("add_node", [DrugNode("drugA")], errors.DuplicateNode, "drug drugA"),
+        # Types that are not nodes or edges; a plain tuple is not a MutationKey.
+        ("add_node", [("KRAS", "12", 1, 1)], TypeError, "unsupported node type tuple"),
+        ("add_edge", [("P1", KRAS_MUT)], TypeError, "unsupported edge type tuple"),
+        # The label is checked before the endpoints.
+        ("add_edge", [GeneticEdge("NOPE", GHOST_MUT, 1.5)], errors.InvalidLabel,
+         "vaf 1.5 outside [0, 1]"),
+    ],
+)
+def test_insertion_error_texts(method, items, exc, text):
+    g = small_graph()
+    insert = getattr(g, method)
+    for item in items[:-1]:
+        insert(item)
+    with pytest.raises(exc) as raised:
+        insert(items[-1])
+    assert raised.type is exc
+    assert str(raised.value) == text
+
+
 class TestValidate:
     def test_well_formed_fixture(self):
         g = small_graph()

@@ -54,6 +54,32 @@ class TestParseMutationTable:
         assert len(res.rows) == 1
         assert res.rows[0].vaf is None
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # The first two read as the floats 1.0 and -0.0 but lie outside [0, 1];
+            # the others are out of range as floats and keep their messages.
+            ("1.00000000000000001", "vaf 1.00000000000000001 outside [0, 1]"),
+            ("-1e-400", "vaf -1e-400 outside [0, 1]"),
+            ("1.5", "vaf 1.5 outside [0, 1]"),
+            ("1e999", "vaf inf outside [0, 1]"),
+            ("high", "non-numeric vaf 'high'"),
+        ],
+    )
+    def test_vaf_is_checked_exactly(self, text, message):
+        res = ingest.parse_mutation_table(mutation_tsv([f"P1\tKRAS\t12\t1\t1\t{text}"]))
+        assert res.rows == []
+        assert [e.message for e in res.issues] == [message]
+
+    @pytest.mark.parametrize(
+        "text, vaf",
+        [("0", 0.0), ("-0", 0.0), ("1.000", 1.0), ("1e-400", 0.0), ("0.99999999999999999999", 1.0)],
+    )
+    def test_vaf_bounds_kept(self, text, vaf):
+        res = ingest.parse_mutation_table(mutation_tsv([f"P1\tKRAS\t12\t1\t1\t{text}"]))
+        assert res.issues == []
+        assert [r.vaf for r in res.rows] == [vaf]
+
     def test_vaf_sentinel_stored_absent(self):
         res = ingest.parse_mutation_table(
             mutation_tsv(["P1\tKRAS\t12\t1\t1\tNA"])
@@ -97,7 +123,7 @@ class TestOtherParsers:
             )
         )
         assert [r.gda_score for r in res.rows] == [Fraction(29999999999999999, 10**17)]
-        assert [e.message for e in res.issues] == ["gda_score 1.0 outside [0, 1]"]
+        assert [e.message for e in res.issues] == ["gda_score 1.00000000000000001 outside [0, 1]"]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -107,6 +133,7 @@ class TestOtherParsers:
             ("1e999", "gda_score inf outside [0, 1]"),
             ("1.50", "gda_score 1.5 outside [0, 1]"),
             ("1/2", "non-numeric gda_score '1/2'"),
+            ("-1e-400", "gda_score -1e-400 outside [0, 1]"),
         ],
     )
     def test_gda_score_rejections(self, text, message):
