@@ -196,13 +196,11 @@ def cmd_cohort(args) -> int:
     if args.metric == "hamming" and k.denominator != 1:
         print(f"--k {k} must be a whole number for hamming", file=sys.stderr)
         return EXIT_USAGE
+    if _bad_bands(args):
+        return EXIT_USAGE
     g, _ = _load(args)
     out = _outdir(args)
-    try:
-        bands = _survival_bands(g, args.t_long, args.t_short)
-    except errors.InvalidThresholds as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    bands = _survival_bands(g, args.t_long, args.t_short)
     _write_tsv(
         out / "survival_bands.tsv",
         ["patient_id", "band"],
@@ -227,12 +225,25 @@ def cmd_cohort(args) -> int:
 _BANDS = ("long", "short", "rest")
 
 
+def _bad_bands(args) -> bool:
+    """Reports a --t-short that is not below --t-long, before any input is read."""
+    if args.t_short < args.t_long:
+        return False
+    print(f"t_short {args.t_short} must be < t_long {args.t_long}", file=sys.stderr)
+    return True
+
+
 def _survival_bands(g, t_long: int, t_short: int) -> dict[str, frozenset[str]]:
     part = co.survival_partition(g, t_long=t_long, t_short=t_short)
     return dict(zip(_BANDS, (part.long_survivors, part.short_deceased, part.rest)))
 
 
 def cmd_freq(args) -> int:
+    if args.top_n < 0:
+        print(f"--top-n {args.top_n} must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    if args.band != "all" and _bad_bands(args):
+        return EXIT_USAGE
     g, _ = _load(args)
     out = _outdir(args)
     ids = None
@@ -269,7 +280,7 @@ def cmd_coexist(args) -> int:
         ["mutations", "support_percent", "n_patients", "patients"],
         (
             (
-                ",".join(sorted(co.item_id(m) for m in s.mutations)),
+                ",".join(sorted(kg.key_text(m) for m in s.mutations)),
                 co.format_percent(s.support_percent),
                 len(s.supporting_patients),
                 ",".join(sorted(s.supporting_patients)),

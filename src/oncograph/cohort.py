@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .graph import KnowledgeGraph, MutationKey
+from .graph import KnowledgeGraph, MutationKey, key_text
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ def format_percent(value: Fraction) -> str:
     """Render an exact percentage with one decimal, rounding half-up."""
     d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
     return str(d.quantize(decimal.Decimal("0.1"), rounding=decimal.ROUND_HALF_UP))
-
-
-def item_id(item) -> str:
-    return item.display() if isinstance(item, MutationKey) else str(item)
 
 
 def profiles_from_graph(
@@ -298,7 +294,7 @@ def coexisting_mutation_sets(
     for p in profiles:
         for item in p.mutations:
             tidsets.setdefault(item, set()).add(p.patient_id)
-    items = sorted((i for i, t in tidsets.items() if len(t) >= min_count), key=item_id)
+    items = sorted((i for i, t in tidsets.items() if len(t) >= min_count), key=key_text)
 
     out = []
     stack = [((), {p.patient_id for p in profiles}, 0)]
@@ -322,7 +318,7 @@ def coexisting_mutation_sets(
                 supporting_patients=frozenset(tids),
             )
         )
-    out.sort(key=lambda c: (-c.support_percent, sorted(item_id(i) for i in c.mutations)))
+    out.sort(key=lambda c: (-c.support_percent, sorted(key_text(i) for i in c.mutations)))
     return out
 
 
@@ -349,7 +345,7 @@ def frequency_table(
         denominator = sum(len(p.mutations) for p in profiles)
         if denominator == 0:
             raise errors.EmptyPopulation("profiles carry no mutations")
-        name = item_id if mode is FrequencyMode.MUTATION else _gene_of
+        name = key_text if mode is FrequencyMode.MUTATION else _gene_of
         counts = Counter()
         for item, c in Counter(i for p in profiles for i in p.mutations).items():
             counts[name(item)] += c

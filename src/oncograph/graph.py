@@ -4,20 +4,20 @@ Node partitions: patients, gene mutations, diseases, drugs. Three colored
 edge sets join them: green (patient-mutation, labeled with VAF), red
 (disease-patient diagnoses and patient-drug treatments), magenta
 (disease-mutation associations scored in [0,1] and mutation-drug targets).
-No edge joins two nodes of the same partition and the colored sets are
-pairwise disjoint; ``validate`` reports every violation of these rules.
 
 One table declares each edge type: its color, its two endpoint partitions
 in order, how its endpoint keys and label are read, and whether a pair may
-repeat; another gives each node type's partition and key. ``add_node``,
-``add_edge``, ``has_node``, ``neighbors`` and ``validate`` read these
-tables, and each edge type fills an index of its own. The per-color edge
-records are the source of truth; ``validate`` reads only them, so it also
-catches records that bypassed ``add_edge``. Every index has one shape,
-first key -> {second key: label}, where the label is the VAF, the GDA score
-or None: patient -> mutations, disease -> patients, disease -> mutations,
-mutation -> drugs and patient -> drugs. Duplicate checks and queries are
-lookups in these indexes.
+repeat; another gives each node type's partition and key. So an edge's type
+fixes which partitions it joins, and no edge can join two nodes of one
+partition. ``add_node``, ``add_edge``, ``has_node``, ``neighbors`` and
+``validate`` read these tables. Each color's record list holds the typed
+edges themselves, and those records are the source of truth; ``validate``
+reads only them, so it also catches records that bypassed ``add_edge``.
+Each edge type also fills an index of its own, of one shape, first key ->
+{second key: label}, where the label is the VAF, the GDA score or None:
+patient -> mutations, disease -> patients, disease -> mutations, mutation
+-> drugs and patient -> drugs. Duplicate checks and queries are lookups in
+these indexes.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -150,21 +150,7 @@ PARTITION_VIOLATION = "partition_violation"
 DANGLING_ENDPOINT = "dangling_endpoint"
 LABEL_OUT_OF_RANGE = "label_out_of_range"
 DUPLICATE_EDGE = "duplicate_edge"
-EDGE_SET_OVERLAP = "edge_set_overlap"
 NODE_INVARIANT = "node_invariant"
-
-
-@dataclass(slots=True)
-class _EdgeRecord:
-    """Raw stored edge: declared endpoint refs plus the typed edge object.
-
-    Kept as plain mutable records so validate() can detect forged or
-    corrupted entries that bypassed add_edge.
-    """
-
-    a: NodeRef
-    b: NodeRef
-    edge: Edge
 
 
 class _EdgeKind(NamedTuple):
@@ -209,17 +195,6 @@ _NODE_KINDS = {
     DrugNode: (Partition.DRUG, "drug_id"),
 }
 
-# The ordered partition pairs each color may join, numbered by edge kind so
-# that validate can name an endpoint pair by a plain tuple.
-_ALLOWED_PAIRS = {
-    color: {
-        (kind.first, kind.second): n
-        for n, kind in enumerate(_EDGE_KINDS.values())
-        if kind.color is color
-    }
-    for color in EdgeColor
-}
-
 
 class KnowledgeGraph:
     """The union graph H over the four partitions and three edge colors."""
@@ -230,12 +205,18 @@ class KnowledgeGraph:
         self._patients, self._mutations, self._diseases, self._drugs = self._nodes.values()
         self._by_gene: dict[str, set[MutationKey]] = {}
         self._by_display: dict[str, MutationKey] = {}
-        self._records: dict[EdgeColor, list[_EdgeRecord]] = {
-            c: [] for c in EdgeColor
-        }
+        self._records: dict[EdgeColor, list[Edge]] = {c: [] for c in EdgeColor}
         # One index per edge type, first key -> {second key: label}, filled
         # by add_edge alongside the records.
         self._index: dict[type, dict[object, dict]] = {t: {} for t in _EDGE_KINDS}
+        # Per edge type, all that add_edge touches: its kind, both endpoint
+        # tables, its index and its color's records, so that no edge hashes
+        # a Partition or EdgeColor.
+        self._by_type = {
+            t: (kind, self._nodes[kind.first], self._nodes[kind.second],
+                self._index[t], self._records[kind.color])
+            for t, kind in _EDGE_KINDS.items()
+        }
 
     # ------------------------------------------------------------------
     # Nodes
@@ -250,7 +231,7 @@ class KnowledgeGraph:
         key = node if field is None else getattr(node, field)
         table = self._nodes[part]
         if key in table:
-            raise errors.DuplicateNode(f"{part.value} {_key_text(key)}")
+            raise errors.DuplicateNode(f"{part.value} {key_text(key)}")
         issue = _node_issue(node)
         if issue:
             raise errors.InvalidLabel(issue)
@@ -327,23 +308,22 @@ class KnowledgeGraph:
         if issue:
             raise errors.InvalidLabel(issue)
         try:
-            kind = _EDGE_KINDS[type(edge)]
+            kind, firsts, seconds, index, records = self._by_type[type(edge)]
         except KeyError:
             raise TypeError(f"unsupported edge type {type(edge).__name__}") from None
         a, b, label = kind.read(edge)
-        ends = ((kind.first, a), (kind.second, b))
-        for part, key in ends:
-            if key not in self._nodes[part]:
-                raise errors.MissingEndpoint(f"{part.value} {_key_text(key)}")
-        adjacent = self._index[type(edge)].setdefault(a, {})
+        if a not in firsts or b not in seconds:
+            part, key = (kind.first, a) if a not in firsts else (kind.second, b)
+            raise errors.MissingEndpoint(f"{part.value} {key_text(key)}")
+        adjacent = index.setdefault(a, {})
         if kind.duplicate and b in adjacent:
-            raise errors.DuplicateEdge(f"{kind.duplicate} {_key_text(a)}-{_key_text(b)}")
+            raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
         adjacent[b] = label
-        self._records[kind.color].append(_EdgeRecord(*ends, edge))
+        records.append(edge)
         return edge
 
-    def edge_records(self, color: EdgeColor) -> list[_EdgeRecord]:
-        """Raw colored edge records (used by validate and audit code)."""
+    def edge_records(self, color: EdgeColor) -> list[Edge]:
+        """The typed edges of one color (used by validate and audit code)."""
         return self._records[color]
 
     def edge_counts(self) -> dict[str, int]:
@@ -404,9 +384,9 @@ class KnowledgeGraph:
 def validate(graph: KnowledgeGraph) -> list[Violation]:
     """Check every structural invariant; returns one entry per violation.
 
-    Each edge record yields at most one entry: partition check first, then
-    endpoint existence, then label ranges. Duplicate-pair and cross-color
-    overlap checks run over structurally sound records only.
+    Each edge record yields at most one entry: first whether its type has
+    the record's color, then whether both of its endpoints exist, then its
+    label range. Repeated pairs are reported after all per-record entries.
     """
     out: list[Violation] = []
     for table in graph._nodes.values():
@@ -415,71 +395,40 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
             if issue:
                 out.append(Violation(NODE_INVARIANT, issue))
 
-    # A sound record's endpoint pair is one plain tuple: the number of its
-    # partition pair, then its keys in that pair's order. Repeated pairs are
-    # reported after all per-record violations.
-    first_color: dict[tuple, EdgeColor] = {}
+    # Each edge type's endpoint tables, looked up by Partition once per call.
+    ends = {t: (graph._nodes[k.first], graph._nodes[k.second]) for t, k in _EDGE_KINDS.items()}
+    seen: set[tuple] = set()
     repeats: list[Violation] = []
     for color in EdgeColor:
-        allowed = _ALLOWED_PAIRS[color]
-        for rec in graph.edge_records(color):
-            (pa, ka), (pb, kb) = rec.a, rec.b
-            if pa == pb:
+        for edge in graph.edge_records(color):
+            kind = _EDGE_KINDS.get(type(edge))
+            if kind is None or kind.color is not color:
+                text = (f"{color.value} edge joins {kind.first.value} and {kind.second.value}"
+                        if kind else f"{color.value} record {type(edge).__name__} is not an edge")
+                out.append(Violation(PARTITION_VIOLATION, text))
+                continue
+            a, b, _ = kind.read(edge)
+            firsts, seconds = ends[type(edge)]
+            if a not in firsts or b not in seconds:
                 out.append(
-                    Violation(
-                        PARTITION_VIOLATION,
-                        f"{color.value} edge joins two {pa.value} nodes",
-                    )
+                    Violation(DANGLING_ENDPOINT, f"{color.value} edge references a missing node")
                 )
                 continue
-            kind = allowed.get((pa, pb))
-            pair = (kind, ka, kb)
-            if kind is None:
-                kind = allowed.get((pb, pa))
-                pair = (kind, kb, ka)
-            if kind is None:
-                out.append(
-                    Violation(
-                        PARTITION_VIOLATION,
-                        f"{color.value} edge joins {pa.value} and {pb.value}",
-                    )
-                )
-                continue
-            if not graph.has_node(rec.a) or not graph.has_node(rec.b):
-                out.append(
-                    Violation(
-                        DANGLING_ENDPOINT,
-                        f"{color.value} edge references a missing node",
-                    )
-                )
-                continue
-            label_issue = _label_issue(rec.edge)
+            label_issue = _label_issue(edge)
             if label_issue:
                 out.append(Violation(LABEL_OUT_OF_RANGE, label_issue))
                 continue
-            prev = first_color.get(pair)
-            if prev is None:
-                first_color[pair] = color
-            elif prev != color:
-                repeats.append(
-                    Violation(
-                        EDGE_SET_OVERLAP,
-                        f"pair {_pair_text(rec)} appears in both {prev.value} and {color.value}",
-                    )
-                )
-            elif getattr(_EDGE_KINDS.get(type(rec.edge)), "duplicate", None):
-                repeats.append(
-                    Violation(DUPLICATE_EDGE, f"duplicate {color.value} edge {_pair_text(rec)}")
-                )
+            pair = (type(edge), a, b)
+            if kind.duplicate and pair in seen:
+                repeats.append(Violation(
+                    DUPLICATE_EDGE, f"duplicate {color.value} edge {key_text(a)}-{key_text(b)}"))
+            seen.add(pair)
     return out + repeats
 
 
-def _key_text(key) -> str:
+def key_text(key) -> str:
+    """A node key as text: a mutation by its display form, an id as itself."""
     return key.display() if isinstance(key, MutationKey) else str(key)
-
-
-def _pair_text(rec: _EdgeRecord) -> str:
-    return f"{_key_text(rec.a[1])}-{_key_text(rec.b[1])}"
 
 
 def _node_issue(node) -> str | None:

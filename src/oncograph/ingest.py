@@ -4,6 +4,13 @@ Inputs are tab-separated UTF-8 files with '#'-prefixed comment lines and a
 header row; each table's header names are fixed, some columns optional.
 Malformed rows are collected into a report with line numbers, never
 silently dropped.
+
+Each parser emits the graph objects its rows stand for: a mutation row is a
+``GeneticEdge``, a treatment row a ``TreatmentEdge``, and a clinical row a
+``(PatientRecord, DiagnosisEdge)`` pair; ``build_graph`` inserts those same
+objects. GDA and drug-target rows are gene-level facts with no graph type of
+their own, so they stay rows until ``build_graph`` fans them out to the
+mutations of their gene.
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ TREATMENT_COLUMNS = (
 
 _VAF_SENTINELS = {"", "na", "nan", "n/a", "unknown", "."}
 
+# The most decimal places a gda_score may have (1e-400 has 400).
+_MAX_SCORE_PLACES = 1000
+
 # Identifier columns are comma-joined in outputs and in ``treat --targets``,
 # so a comma inside one is rejected. Free-text columns (diseases, adverse
 # effects) may hold commas.
@@ -82,24 +92,6 @@ class ReportEntry:
 
 
 @dataclass(frozen=True, slots=True)
-class MutationTableRow:
-    sample_id: str
-    gene: str
-    chromosome: str
-    start: int
-    end: int
-    vaf: float | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class ClinicalTableRow:
-    sample_id: str
-    cancer_type: str
-    overall_survival_months: float
-    vital_status: str  # "living" | "deceased"
-
-
-@dataclass(frozen=True, slots=True)
 class GdaTableRow:
     gene: str
     disease: str
@@ -110,16 +102,8 @@ class GdaTableRow:
 class DrugTargetTableRow:
     drug_id: str
     gene: str
-    toxicity_weight: Fraction | None = None
+    toxicity_weight: Fraction | None = None  # None: not given, so it cannot conflict
     adverse_effects: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class TreatmentTableRow:
-    sample_id: str
-    drug_id: str
-    order: int
-    effectiveness: Effectiveness
 
 
 @dataclass
@@ -248,19 +232,19 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def parse_mutation_table(source) -> ParseResult:
+    """Rows as GeneticEdges; the rows on one locus share one MutationKey."""
+    loci: dict[tuple[str, str, int, int], MutationKey] = {}
+
     def row_fn(v):
         start = _parse_int(v["start"], "start_position")
         end = _parse_int(v["end"], "end_position")
         if start < 0 or start > end:
             raise ValueError(f"bad locus range {start}..{end}")
-        return MutationTableRow(
-            sample_id=v["sample_id"],
-            gene=v["gene"],
-            chromosome=v["chromosome"],
-            start=start,
-            end=end,
-            vaf=_parse_vaf(v.get("vaf")),
-        )
+        locus = (v["gene"], v["chromosome"], start, end)
+        mutation = loci.get(locus)
+        if mutation is None:
+            mutation = loci[locus] = MutationKey(*locus)
+        return GeneticEdge(v["sample_id"], mutation, _parse_vaf(v.get("vaf")))
 
     return _parse_table(source, MUTATION_COLUMNS, row_fn)
 
@@ -270,27 +254,25 @@ _DECEASED = {"deceased", "dead", "1:deceased"}
 
 
 def parse_clinical_table(source) -> ParseResult:
+    """Rows as (PatientRecord, DiagnosisEdge) pairs, survival floored to
+    whole months; the disease is the verbatim cancer type."""
+
     def row_fn(v):
         try:
             months = float(v["os_months"])
         except ValueError:
             months = math.nan
-        if not math.isfinite(months):  # months are floored to an int at build
+        if not math.isfinite(months):
             raise ValueError(f"non-numeric os_months '{v['os_months']}'")
         if months < 0:
             raise ValueError(f"negative os_months {months}")
         status = v["os_status"].lower()
-        if status in _LIVING:
-            status = "living"
-        elif status in _DECEASED:
-            status = "deceased"
-        else:
+        if status not in _LIVING and status not in _DECEASED:
             raise ValueError(f"unrecognized os_status '{v['os_status']}'")
-        return ClinicalTableRow(
-            sample_id=v["sample_id"],
-            cancer_type=v["cancer_type"].strip(),
-            overall_survival_months=months,
-            vital_status=status,
+        pid = v["sample_id"]
+        return (
+            PatientRecord(pid, math.floor(months), status in _LIVING),
+            DiagnosisEdge(v["cancer_type"].strip(), pid),
         )
 
     return _parse_table(source, CLINICAL_COLUMNS, row_fn)
@@ -300,9 +282,12 @@ def parse_gda_table(source) -> ParseResult:
     def row_fn(v):
         text = v["gda_score"]
         _unit_interval("gda_score", text)
-        # The score is the exact value of the decimal text.
-        score = Fraction(decimal.Decimal(text))
-        return GdaTableRow(gene=v["gene"], disease=v["disease"].strip(), gda_score=score)
+        # The score is the exact value of the decimal text, whose integer
+        # ratio grows with its exponent, so the exponent is bounded first.
+        exact = decimal.Decimal(text)
+        if exact.as_tuple().exponent < -_MAX_SCORE_PLACES:
+            raise ValueError(f"gda_score {text} has more than {_MAX_SCORE_PLACES} decimal places")
+        return GdaTableRow(gene=v["gene"], disease=v["disease"].strip(), gda_score=Fraction(exact))
 
     return _parse_table(source, GDA_COLUMNS, row_fn)
 
@@ -338,28 +323,27 @@ def parse_treatment_table(source) -> ParseResult:
         eff = codes.get(v["effectiveness"].lower())
         if eff is None:
             raise ValueError(f"unrecognized effectiveness '{v['effectiveness']}'")
-        return TreatmentTableRow(
-            sample_id=v["sample_id"], drug_id=v["drug_id"], order=order, effectiveness=eff
-        )
+        return TreatmentEdge(v["sample_id"], v["drug_id"], order, eff)
 
     return _parse_table(source, TREATMENT_COLUMNS, row_fn)
 
 
 def build_graph(
-    mutation_rows: Iterable[MutationTableRow],
-    clinical_rows: Iterable[ClinicalTableRow],
+    mutation_rows: Iterable[GeneticEdge],
+    clinical_rows: Iterable[tuple[PatientRecord, DiagnosisEdge]],
     gda_rows: Iterable[GdaTableRow],
     drug_rows: Iterable[DrugTargetTableRow],
-    treatment_rows: Iterable[TreatmentTableRow] | None = None,
+    treatment_rows: Iterable[TreatmentEdge] | None = None,
 ) -> tuple[KnowledgeGraph, list[ReportEntry]]:
-    """Assemble a validated knowledge graph from parsed rows.
+    """Insert the parsed objects into a new knowledge graph.
 
-    Clinical rows become patients and diagnosis edges (disease nodes are
-    auto-created from the verbatim cancer type). Mutation rows matched to a
-    known patient become mutation nodes plus green edges; duplicates of the
-    same (patient, mutation) pair collapse keeping the maximum VAF; rows for
-    unknown samples are reported as orphans. Gene-level association and drug
-    target rows fan out to every mutation node on the matching gene.
+    Patients come first, each with its diagnosis edge (disease nodes are
+    created on first sight). A green edge of a known patient is inserted
+    with its mutation node; duplicates of one (patient, mutation) pair
+    collapse to the edge with the maximum VAF; edges of unknown samples are
+    reported as orphans. Gene-level association and drug target rows fan
+    out to every mutation node on the matching gene. The graph is not
+    validated here: ``graph.validate`` does that.
     """
     graph = KnowledgeGraph()
     report: list[ReportEntry] = []
@@ -367,52 +351,40 @@ def build_graph(
     def note(severity: str, message: str) -> None:
         report.append(ReportEntry("build", 0, severity, message))
 
-    for row in sorted(clinical_rows, key=lambda r: r.sample_id):
-        if row.sample_id in graph.patients:
-            note("warning", f"duplicate clinical row for {row.sample_id}; first kept")
+    for patient, diagnosis in sorted(clinical_rows, key=lambda r: r[0].patient_id):
+        if patient.patient_id in graph.patients:
+            note("warning", f"duplicate clinical row for {patient.patient_id}; first kept")
             continue
-        graph.add_node(
-            PatientRecord(
-                patient_id=row.sample_id,
-                survival_months=math.floor(row.overall_survival_months),
-                alive=row.vital_status == "living",
-            )
-        )
-        if row.cancer_type not in graph.diseases:
-            graph.add_node(DiseaseNode(row.cancer_type))
-        graph.add_edge(DiagnosisEdge(row.cancer_type, row.sample_id))
+        graph.add_node(patient)
+        if diagnosis.disease_id not in graph.diseases:
+            graph.add_node(DiseaseNode(diagnosis.disease_id))
+        graph.add_edge(diagnosis)
 
-    # Collapse duplicate (patient, mutation) rows keeping the max VAF (None
-    # sorts below any number). Rows are keyed by plain (sample, gene,
-    # chromosome, start, end) tuples, which order as (sample, MutationKey).
-    best: dict[tuple[str, str, str, int, int], float | None] = {}
+    # Collapse duplicate (patient, mutation) edges keeping the max VAF (None
+    # sorts below any number).
+    best: dict[tuple[str, MutationKey], GeneticEdge] = {}
     orphans = 0
-    for row in mutation_rows:
-        if row.sample_id not in graph.patients:
+    for edge in mutation_rows:
+        if edge.patient_id not in graph.patients:
             orphans += 1
-            note("warning", f"orphan mutation row: unknown sample {row.sample_id}")
+            note("warning", f"orphan mutation row: unknown sample {edge.patient_id}")
             continue
-        key = (row.sample_id, row.gene, row.chromosome, row.start, row.end)
-        if key in best:
+        pair = (edge.patient_id, edge.mutation)
+        prev = best.get(pair)
+        if prev is not None:
             note(
                 "info",
-                f"duplicate mutation row for {row.sample_id}/"
-                f"{MutationKey(*key[1:]).display()}; max VAF kept",
+                f"duplicate mutation row for {edge.patient_id}/"
+                f"{edge.mutation.display()}; max VAF kept",
             )
-            prev = best[key]
-            if prev is None or (row.vaf is not None and row.vaf > prev):
-                best[key] = row.vaf
-        else:
-            best[key] = row.vaf
-    # One MutationKey per locus, shared by all of its edges.
-    interned: dict[tuple[str, str, int, int], MutationKey] = {}
-    for key in sorted(best):
-        locus = key[1:]
-        mutation = interned.get(locus)
-        if mutation is None:
-            mutation = interned[locus] = MutationKey(*locus)
-            graph.add_node(mutation)
-        graph.add_edge(GeneticEdge(key[0], mutation, best[key]))
+            if prev.vaf is not None and (edge.vaf is None or edge.vaf <= prev.vaf):
+                continue
+        best[pair] = edge
+    for pair in sorted(best):
+        edge = best[pair]
+        if edge.mutation not in graph.mutations:
+            graph.add_node(edge.mutation)
+        graph.add_edge(edge)
 
     gda_best: dict[tuple[str, str], Fraction] = {}
     for row in gda_rows:
@@ -468,18 +440,14 @@ def build_graph(
             graph.add_edge(TargetEdge(mutation, drug_id))
 
     if treatment_rows:
-        for row in sorted(
-            treatment_rows, key=lambda r: (r.sample_id, r.order, r.drug_id)
-        ):
-            if row.sample_id not in graph.patients:
-                note("warning", f"treatment row for unknown sample {row.sample_id}")
+        for edge in sorted(treatment_rows, key=lambda e: (e.patient_id, e.order, e.drug_id)):
+            if edge.patient_id not in graph.patients:
+                note("warning", f"treatment row for unknown sample {edge.patient_id}")
                 continue
-            if row.drug_id not in graph.drugs:
-                note("warning", f"treatment row for unknown drug {row.drug_id}")
+            if edge.drug_id not in graph.drugs:
+                note("warning", f"treatment row for unknown drug {edge.drug_id}")
                 continue
-            graph.add_edge(
-                TreatmentEdge(row.sample_id, row.drug_id, row.order, row.effectiveness)
-            )
+            graph.add_edge(edge)
 
     if orphans:
         note("warning", f"{orphans} orphan mutation row(s) excluded")

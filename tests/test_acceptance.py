@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from oncograph import (
+    DiagnosisEdge,
     EdgeColor,
     GeneticEdge,
     KnowledgeGraph,
-    Partition,
     PatientRecord,
     cli,
     cohort,
@@ -32,7 +32,6 @@ from oncograph.graph import (
     LABEL_OUT_OF_RANGE,
     NODE_INVARIANT,
     PARTITION_VIOLATION,
-    _EdgeRecord,
 )
 
 from conftest import FIXTURES, GOLDEN, make_mutation, random_graph
@@ -155,40 +154,28 @@ def test_graph_invariants():
         g.add_edge(GeneticEdge("P1", m, 0.5))
         return g, m
 
-    # 1. partition violation: green edge joining two patients
+    # 1. partition violation: a disease-patient edge filed as green
     g, m = fresh()
-    g.edge_records(EdgeColor.GREEN).append(
-        _EdgeRecord((Partition.PATIENT, "P1"), (Partition.PATIENT, "P2"),
-                    GeneticEdge("P1", m, 0.5))
-    )
+    g.edge_records(EdgeColor.GREEN).append(DiagnosisEdge("D1", "P1"))
     report = validate(g)
     assert [v.category for v in report] == [PARTITION_VIOLATION]
 
     # 2. dangling endpoint: green edge to a mutation node never added
     g, m = fresh()
     ghost = make_mutation("GHOST", 9)
-    g.edge_records(EdgeColor.GREEN).append(
-        _EdgeRecord((Partition.PATIENT, "P2"), (Partition.MUTATION, ghost),
-                    GeneticEdge("P2", ghost, 0.5))
-    )
+    g.edge_records(EdgeColor.GREEN).append(GeneticEdge("P2", ghost, 0.5))
     report = validate(g)
     assert [v.category for v in report] == [DANGLING_ENDPOINT]
 
     # 3. label out of range: vaf forged past 1
     g, m = fresh()
-    g.edge_records(EdgeColor.GREEN).append(
-        _EdgeRecord((Partition.PATIENT, "P2"), (Partition.MUTATION, m),
-                    GeneticEdge("P2", m, 1.5))
-    )
+    g.edge_records(EdgeColor.GREEN).append(GeneticEdge("P2", m, 1.5))
     report = validate(g)
     assert [v.category for v in report] == [LABEL_OUT_OF_RANGE]
 
     # 4. duplicate pairwise-unique edge
     g, m = fresh()
-    g.edge_records(EdgeColor.GREEN).append(
-        _EdgeRecord((Partition.PATIENT, "P1"), (Partition.MUTATION, m),
-                    GeneticEdge("P1", m, 0.4))
-    )
+    g.edge_records(EdgeColor.GREEN).append(GeneticEdge("P1", m, 0.4))
     report = validate(g)
     assert [v.category for v in report] == [DUPLICATE_EDGE]
 

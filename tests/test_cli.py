@@ -174,6 +174,30 @@ class TestExactThresholds:
         assert ">= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cohort", "--t-long", "6", "--t-short", "36"], "t_short 36 must be < t_long 6"),
+            (["cohort", "--t-long", "6", "--t-short", "6"], "t_short 6 must be < t_long 6"),
+            (["freq", "--band", "long", "--t-long", "6", "--t-short", "36"],
+             "t_short 36 must be < t_long 6"),
+            (["freq", "--top-n", "-1"], "--top-n -1 must be >= 0"),
+        ],
+    )
+    def test_bad_bands_and_top_n_are_usage_errors_before_any_input(
+        self, tmp_path, argv, message, capsys
+    ):
+        # The mutation table does not exist: nothing may be read before the check.
+        out = tmp_path / "out"
+        assert run(argv + fixture_args(out, mutations=tmp_path / "absent.tsv")) == 64
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_freq_without_bands_ignores_their_thresholds(self, tmp_path):
+        argv = ["freq", "--t-long", "6", "--t-short", "36", "--top-n", "0"]
+        assert run(argv + fixture_args(tmp_path)) == 0
+        assert (tmp_path / "frequency.tsv").read_text() == "item\tpercent\n"
+
     def test_gda_threshold_is_compared_exactly(self, tmp_path):
         # float("0.29999999999999999") is 0.3, but the score is below 3/10.
         args = write_inputs(tmp_path, ["P1"], [("P1", "KRAS"), ("P1", "TP53")])

@@ -415,8 +415,8 @@ class TestCoMutationSurvival:
         for _ in range(40):
             g = random_graph(rng, max_nodes=40)
             genes = {pid: set() for pid in g.patients}
-            for rec in g.edge_records(EdgeColor.GREEN):
-                genes[rec.edge.patient_id].add(rec.edge.mutation.gene)
+            for e in g.edge_records(EdgeColor.GREEN):
+                genes[e.patient_id].add(e.mutation.gene)
             present = sorted(set().union(*genes.values()))
             for pair in combinations(present, 2):
                 cohort = [pid for pid, gs in genes.items() if set(pair) <= gs]

@@ -22,11 +22,12 @@ from oncograph import (
 )
 from oncograph.cohort import profiles_from_graph
 from oncograph.graph import (
+    _EDGE_KINDS,
+    DANGLING_ENDPOINT,
     LABEL_OUT_OF_RANGE,
     NODE_INVARIANT,
     PARTITION_VIOLATION,
     Violation,
-    _EdgeRecord,
 )
 
 from conftest import random_graph
@@ -120,13 +121,21 @@ class TestDuplicateEdges:
         assert validate(g) == []
 
 
+def edge_ends(edge):
+    """An edge's two endpoint refs, in the order its kind declares."""
+    kind = _EDGE_KINDS[type(edge)]
+    a, b, _ = kind.read(edge)
+    return (kind.first, a), (kind.second, b)
+
+
 def brute_force_neighbors(g, ref, color):
     out = set()
-    for rec in g.edge_records(color):
-        if rec.a == ref:
-            out.add(rec.b)
-        if rec.b == ref:
-            out.add(rec.a)
+    for edge in g.edge_records(color):
+        a, b = edge_ends(edge)
+        if a == ref:
+            out.add(b)
+        if b == ref:
+            out.add(a)
     return out
 
 
@@ -145,9 +154,9 @@ class TestIndexesMatchRecords:
         for _ in range(25):
             g = random_graph(rng, max_nodes=40)
             add_random_treatments(g, rng)
-            green = [r.edge for r in g.edge_records(EdgeColor.GREEN)]
-            magenta = [r.edge for r in g.edge_records(EdgeColor.MAGENTA)]
-            red = [r.edge for r in g.edge_records(EdgeColor.RED)]
+            green = g.edge_records(EdgeColor.GREEN)
+            magenta = g.edge_records(EdgeColor.MAGENTA)
+            red = g.edge_records(EdgeColor.RED)
             refs = (
                 [(Partition.PATIENT, p) for p in g.patients]
                 + [(Partition.MUTATION, m) for m in g.mutations]
@@ -219,12 +228,20 @@ class TestNeighbors:
         for _ in range(20):
             g = random_graph(rng, max_nodes=24)
             for color in EdgeColor:
-                for rec in g.edge_records(color):
-                    assert rec.b in g.neighbors(rec.a, color)
-                    assert rec.a in g.neighbors(rec.b, color)
+                for edge in g.edge_records(color):
+                    a, b = edge_ends(edge)
+                    assert b in g.neighbors(a, color)
+                    assert a in g.neighbors(b, color)
 
 
 GHOST_MUT = MutationKey("GHOST", "9", 5, 5)
+COLOR_OF = {
+    GeneticEdge: EdgeColor.GREEN,
+    DiagnosisEdge: EdgeColor.RED,
+    TreatmentEdge: EdgeColor.RED,
+    GdaAssociation: EdgeColor.MAGENTA,
+    TargetEdge: EdgeColor.MAGENTA,
+}
 KRAS = KRAS_MUT.display()
 POS = Effectiveness.POSITIVE
 
@@ -289,29 +306,67 @@ class TestValidate:
 
     def test_forged_same_partition_edge(self):
         g = small_graph()
-        g.edge_records(EdgeColor.GREEN).append(
-            _EdgeRecord(
-                (Partition.PATIENT, "P1"),
-                (Partition.PATIENT, "P2"),
-                GeneticEdge("P1", KRAS_MUT, 0.3),
-            )
-        )
+        g.edge_records(EdgeColor.GREEN).append(DiagnosisEdge("D1", "P1"))
         report = validate(g)
         assert len(report) == 1
         assert report[0].category == PARTITION_VIOLATION
 
     def test_gda_score_injected_out_of_range(self):
         g = small_graph()
-        g.edge_records(EdgeColor.MAGENTA).append(
-            _EdgeRecord(
-                (Partition.DISEASE, "D1"),
-                (Partition.MUTATION, KRAS_MUT),
-                GdaAssociation("D1", KRAS_MUT, 1.2),
-            )
-        )
+        g.edge_records(EdgeColor.MAGENTA).append(GdaAssociation("D1", KRAS_MUT, 1.2))
         report = validate(g)
         assert len(report) == 1
         assert report[0].category == LABEL_OUT_OF_RANGE
+
+    @pytest.mark.parametrize(
+        "edge, color, text",
+        [
+            (edge, color, f"{color.value} edge joins {ends}")
+            for edge, ends in (
+                (GeneticEdge("P1", KRAS_MUT, 0.3), "patient and mutation"),
+                (DiagnosisEdge("D1", "P1"), "disease and patient"),
+                (TreatmentEdge("P1", "drugA", 1, POS), "patient and drug"),
+                (GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)), "disease and mutation"),
+                (TargetEdge(KRAS_MUT, "drugA"), "mutation and drug"),
+            )
+            for color in EdgeColor
+            if color is not COLOR_OF[type(edge)]
+        ],
+    )
+    def test_edge_under_a_wrong_color(self, edge, color, text):
+        g = small_graph()
+        g.edge_records(color).append(edge)
+        assert validate(g) == [Violation(PARTITION_VIOLATION, text)]
+
+    def test_record_that_is_not_an_edge(self):
+        g = small_graph()
+        g.edge_records(EdgeColor.GREEN).append(("P1", KRAS_MUT))
+        assert validate(g) == [
+            Violation(PARTITION_VIOLATION, "green record tuple is not an edge")
+        ]
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            GeneticEdge("NOPE", KRAS_MUT, 0.3),
+            GeneticEdge("P1", GHOST_MUT, 0.3),
+            DiagnosisEdge("NOPE", "P1"),
+            DiagnosisEdge("D1", "NOPE"),
+            TreatmentEdge("NOPE", "drugA", 1, POS),
+            TreatmentEdge("P1", "NOPE", 1, POS),
+            GdaAssociation("NOPE", KRAS_MUT, Fraction(1, 2)),
+            GdaAssociation("D1", GHOST_MUT, Fraction(1, 2)),
+            TargetEdge(GHOST_MUT, "drugA"),
+            TargetEdge(KRAS_MUT, "NOPE"),
+        ],
+    )
+    def test_forged_edge_with_a_missing_endpoint(self, edge):
+        g = small_graph()
+        color = COLOR_OF[type(edge)]
+        g.edge_records(color).append(edge)
+        assert validate(g) == [
+            Violation(DANGLING_ENDPOINT, f"{color.value} edge references a missing node")
+        ]
 
     def test_randomized_construction_always_clean(self):
         rng = random.Random(11)
@@ -352,12 +407,7 @@ class TestOneStatementPerRule:
         g = small_graph()
         with pytest.raises(errors.InvalidLabel) as raised:
             g.add_edge(edge)
-        ends = {
-            GeneticEdge: ((Partition.PATIENT, "P1"), (Partition.MUTATION, KRAS_MUT)),
-            GdaAssociation: ((Partition.DISEASE, "D1"), (Partition.MUTATION, KRAS_MUT)),
-            TreatmentEdge: ((Partition.PATIENT, "P1"), (Partition.DRUG, "drugA")),
-        }[type(edge)]
-        g.edge_records(color).append(_EdgeRecord(*ends, edge))
+        g.edge_records(color).append(edge)
         assert validate(g) == [Violation(LABEL_OUT_OF_RANGE, str(raised.value))]
 
 

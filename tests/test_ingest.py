@@ -1,10 +1,20 @@
 import io
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from oncograph import errors, ingest, validate
+from oncograph import (
+    DiagnosisEdge,
+    GeneticEdge,
+    MutationKey,
+    PatientRecord,
+    errors,
+    ingest,
+    validate,
+)
 
 
 def mutation_tsv(rows):
@@ -80,6 +90,18 @@ class TestParseMutationTable:
         assert res.issues == []
         assert [r.vaf for r in res.rows] == [vaf]
 
+    def test_rows_on_one_locus_share_the_graph_node(self):
+        res = ingest.parse_mutation_table(
+            mutation_tsv(["P1\tKRAS\t12\t1\t1\t0.3", "P2\tKRAS\t12\t1\t1\t0.5"])
+        )
+        first, second = (edge.mutation for edge in res.rows)
+        assert first is second
+        clinical = [
+            (PatientRecord(pid, 10, True), DiagnosisEdge("LUAD", pid)) for pid in ("P1", "P2")
+        ]
+        g, _ = ingest.build_graph(res.rows, clinical, [], [])
+        assert g.mutation_by_display("KRAS_12_1_1") is first
+
     def test_vaf_sentinel_stored_absent(self):
         res = ingest.parse_mutation_table(
             mutation_tsv(["P1\tKRAS\t12\t1\t1\tNA"])
@@ -94,8 +116,7 @@ class TestOtherParsers:
                 "sample_id\tcancer_type\tos_months\tos_status\nP1\tLUAD\t41.3\tliving\n"
             )
         )
-        assert res.rows[0].overall_survival_months == 41.3
-        # floor applied at graph build time
+        assert res.rows[0][0].survival_months == 41
         g, _ = ingest.build_graph([], res.rows, [], [])
         assert g.patient("P1").survival_months == 41
 
@@ -112,6 +133,18 @@ class TestOtherParsers:
         res = ingest.parse_clinical_table(io.StringIO(f"{header}\nP1\tLUAD\t{months}\tliving\n"))
         assert res.rows == []
         assert [e.message for e in res.issues] == [f"non-numeric os_months '{months}'"]
+
+    def test_gda_score_decimal_places_are_bounded(self):
+        # 1e-1000000 would expand to a 3.3-million-bit integer, some 0.36 s.
+        start = time.perf_counter()
+        res = ingest.parse_gda_table(
+            io.StringIO("gene\tdisease\tgda_score\nKRAS\tLUAD\t1e-400\nTP53\tLUAD\t1e-1000000\n")
+        )
+        assert time.perf_counter() - start < 0.1
+        assert [r.gda_score for r in res.rows] == [Fraction(1, 10**400)]
+        assert [(e.line, e.message) for e in res.issues] == [
+            (3, "gda_score 1e-1000000 has more than 1000 decimal places")
+        ]
 
     def test_gda_score_is_exact(self):
         # Both texts read as a float within [0, 1]; exactly, one is below 3/10
@@ -163,11 +196,11 @@ class TestOtherParsers:
 
 
 def clin_row(pid, cancer="LUAD", months=10.0, status="living"):
-    return ingest.ClinicalTableRow(pid, cancer, months, status)
+    return PatientRecord(pid, math.floor(months), status == "living"), DiagnosisEdge(cancer, pid)
 
 
 def mut_row(pid, gene, locus, vaf=0.5):
-    return ingest.MutationTableRow(pid, gene, "1", locus, locus, vaf)
+    return GeneticEdge(pid, MutationKey(gene, "1", locus, locus), vaf)
 
 
 class TestBuildGraph:
@@ -287,7 +320,7 @@ class TestIdentifiersWithCommas:
         drugs = ingest.parse_drug_target_table(
             io.StringIO("drug\tgene\tadverse_effects\nd1\tKRAS\trash, nausea\n")
         )
-        assert clinical.rows[0].cancer_type == gda.rows[0].disease == "Lung, NOS"
+        assert clinical.rows[0][1].disease_id == gda.rows[0].disease == "Lung, NOS"
         assert drugs.rows[0].adverse_effects == "rash, nausea"
         assert clinical.issues == gda.issues == drugs.issues == []
 

@@ -110,8 +110,8 @@ class TestKnownMutations:
             )
         )
         g, _ = ingest.build_graph(
-            [ingest.MutationTableRow("P1", gene, "1", 1, 1) for gene in ("KRAS", "TP53", "BRAF")],
-            [ingest.ClinicalTableRow("P1", "D1", 10.0, "living")],
+            [GeneticEdge("P1", make_mutation(gene, 1)) for gene in ("KRAS", "TP53", "BRAF")],
+            [(PatientRecord("P1", 10, True), DiagnosisEdge("D1", "P1"))],
             gda.rows,
             [],
         )
@@ -169,17 +169,15 @@ class TestConsistency:
 def brute_force_sets(g, disease, threshold, gene_level):
     """Recompute all four sets straight from the raw colored edge lists."""
     pats = set()
-    for rec in g.edge_records(EdgeColor.RED):
-        if isinstance(rec.edge, DiagnosisEdge) and rec.edge.disease_id == disease:
-            pats.add(rec.edge.patient_id)
+    for e in g.edge_records(EdgeColor.RED):
+        if isinstance(e, DiagnosisEdge) and e.disease_id == disease:
+            pats.add(e.patient_id)
     prof = {p: set() for p in pats}
-    for rec in g.edge_records(EdgeColor.GREEN):
-        e = rec.edge
+    for e in g.edge_records(EdgeColor.GREEN):
         if e.patient_id in prof:
             prof[e.patient_id].add(e.mutation)
     known = set()
-    for rec in g.edge_records(EdgeColor.MAGENTA):
-        e = rec.edge
+    for e in g.edge_records(EdgeColor.MAGENTA):
         if isinstance(e, GdaAssociation) and e.disease_id == disease:
             if e.gda_score >= threshold:
                 known.add(e.mutation)
