@@ -6,7 +6,6 @@ patient-cohort partitioning, and exact minimum-(weight) hitting-set drug
 treatment optimization.
 """
 
-from . import cohort, errors, hitting_set, ingest, knowledge
 from .graph import (
     DiagnosisEdge,
     DiseaseNode,
@@ -47,3 +46,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: submodules load on first use, so a CLI call imports only what it runs.
+    if name in ("cohort", "hitting_set", "ingest", "knowledge"):
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

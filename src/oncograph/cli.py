@@ -12,15 +12,13 @@ var may point to a JSON file supplying default flag values.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from . import cohort as co
-from . import errors, graph as kg, hitting_set as hs
-from . import ingest, knowledge
+# Each call is a new interpreter, so cohort, knowledge, hitting_set and json
+# are imported only where they are used: an unneeded import is start-up cost.
+from . import errors, graph as kg, ingest
 
 EXIT_OK = 0
 EXIT_INVALID_GRAPH = 1
@@ -49,14 +47,18 @@ def _config_defaults() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
+    import json
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("not a JSON object")
+        return cfg
     except UnicodeDecodeError:
         line = ingest.undecodable_line(path)
         print(f"cannot read config {path}:{line}: not valid UTF-8", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"cannot read config {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
 
@@ -76,7 +78,7 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
         if path is None:
             print(f"missing required input: --{name}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
-        if not Path(path).is_file():
+        if not os.path.isfile(path):
             print(f"cannot read {name} file: {path}", file=sys.stderr)
             raise SystemExit(EXIT_IO)
     try:
@@ -104,16 +106,16 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
     return g, report
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _outdir(args) -> str:
+    os.makedirs(args.out or ".", exist_ok=True)  # an empty --out is the working directory
+    return args.out
 
 
-def _write_tsv(path: Path, header: list[str], rows) -> None:
+def _write_tsv(path: str, header: list[str], rows) -> None:
     """Write a TSV atomically: into a temp file beside ``path``, then
     ``os.replace`` it, so a failure leaves the previous file as it was."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\t".join(header) + "\n")
@@ -121,7 +123,8 @@ def _write_tsv(path: Path, header: list[str], rows) -> None:
                 fh.write("\t".join(str(v) for v in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if os.path.exists(tmp):
+            os.remove(tmp)
         raise
 
 
@@ -132,7 +135,7 @@ def cmd_build(args) -> int:
     g, report = _load(args)
     out = _outdir(args)
     _write_tsv(
-        out / "build_report.tsv",
+        os.path.join(out, "build_report.tsv"),
         ["file", "line", "severity", "message"],
         ((e.file, e.line, e.severity, e.message) for e in report),
     )
@@ -149,8 +152,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if not 0 <= args.gda_threshold <= 1:
-        print(f"--gda-threshold {args.gda_threshold} must be in [0, 1]", file=sys.stderr)
+    from . import knowledge
+    threshold = args.gda_threshold
+    if threshold is None:
+        threshold = knowledge.DEFAULT_GDA_THRESHOLD
+    elif not 0 <= threshold <= 1:
+        print(f"--gda-threshold {threshold} must be in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
     g, _ = _load(args)
     out = _outdir(args)
@@ -159,7 +166,7 @@ def cmd_check(args) -> int:
         evidence, verdict = knowledge.check_consistency(
             g,
             disease_id,
-            gda_threshold=args.gda_threshold,
+            gda_threshold=threshold,
             granularity=knowledge.Granularity(args.granularity),
         )
         status = "no_evidence" if not evidence.patients else verdict.status.value
@@ -177,7 +184,7 @@ def cmd_check(args) -> int:
             )
         )
     _write_tsv(
-        out / "knowledge_check.tsv",
+        os.path.join(out, "knowledge_check.tsv"),
         [
             "disease", "n_patients", "n_union", "n_common", "n_known",
             "status", "n_missing_from_knowledge", "n_unsupported_knowledge",
@@ -198,11 +205,12 @@ def cmd_cohort(args) -> int:
         return EXIT_USAGE
     if _bad_bands(args):
         return EXIT_USAGE
+    from . import cohort as co
     g, _ = _load(args)
     out = _outdir(args)
     bands = _survival_bands(g, args.t_long, args.t_short)
     _write_tsv(
-        out / "survival_bands.tsv",
+        os.path.join(out, "survival_bands.tsv"),
         ["patient_id", "band"],
         sorted((pid, band) for band, pids in bands.items() for pid in pids),
     )
@@ -211,7 +219,7 @@ def cmd_cohort(args) -> int:
         profiles, metric=args.metric, k=k, strategy=args.strategy
     )
     _write_tsv(
-        out / "profile_groups.tsv",
+        os.path.join(out, "profile_groups.tsv"),
         ["group", "size", "patients"],
         (
             (i + 1, len(grp), ",".join(grp))
@@ -223,6 +231,8 @@ def cmd_cohort(args) -> int:
 
 # The names of the survival bands, in the order of SurvivalPartition's fields.
 _BANDS = ("long", "short", "rest")
+# cohort.FrequencyMode's values, named here so that the parser needs no cohort.
+_FREQUENCY_MODES = ("mutation", "gene_with_multiplicity", "gene_without_multiplicity")
 
 
 def _bad_bands(args) -> bool:
@@ -234,8 +244,8 @@ def _bad_bands(args) -> bool:
 
 
 def _survival_bands(g, t_long: int, t_short: int) -> dict[str, frozenset[str]]:
-    part = co.survival_partition(g, t_long=t_long, t_short=t_short)
-    return dict(zip(_BANDS, (part.long_survivors, part.short_deceased, part.rest)))
+    from . import cohort as co
+    return dict(zip(_BANDS, co.survival_partition(g, t_long=t_long, t_short=t_short)))
 
 
 def cmd_freq(args) -> int:
@@ -244,6 +254,7 @@ def cmd_freq(args) -> int:
         return EXIT_USAGE
     if args.band != "all" and _bad_bands(args):
         return EXIT_USAGE
+    from . import cohort as co
     g, _ = _load(args)
     out = _outdir(args)
     ids = None
@@ -259,7 +270,7 @@ def cmd_freq(args) -> int:
     profiles = co.profiles_from_graph(g, patient_ids=ids)
     rows = co.frequency_table(profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n)
     _write_tsv(
-        out / "frequency.tsv",
+        os.path.join(out, "frequency.tsv"),
         ["item", "percent"],
         ((name, co.format_percent(pct)) for name, pct in rows),
     )
@@ -267,6 +278,7 @@ def cmd_freq(args) -> int:
 
 
 def cmd_coexist(args) -> int:
+    from . import cohort as co
     g, _ = _load(args)
     out = _outdir(args)
     profiles = co.profiles_from_graph(g, gene_level=args.granularity == "gene")
@@ -276,7 +288,7 @@ def cmd_coexist(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     _write_tsv(
-        out / "coexisting_sets.tsv",
+        os.path.join(out, "coexisting_sets.tsv"),
         ["mutations", "support_percent", "n_patients", "patients"],
         (
             (
@@ -292,6 +304,7 @@ def cmd_coexist(args) -> int:
 
 
 def cmd_treat(args) -> int:
+    from . import hitting_set as hs
     g, _ = _load(args)
     out = _outdir(args)
     # An unknown patient or mutation, or an untargetable one, exits 3 in main.
@@ -303,7 +316,7 @@ def cmd_treat(args) -> int:
         else hs.solve_min_cardinality(instance)
     )
     _write_tsv(
-        out / "treatment.tsv",
+        os.path.join(out, "treatment.tsv"),
         ["drug", "weight"],
         ((d, instance.weights[d]) for d in sorted(solution.drugs)),
     )
@@ -329,7 +342,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = add("check", cmd_check, "knowledge-vs-evidence consistency per disease")
     p.add_argument(
         "--gda-threshold", type=exact_number,
-        default=str(cfg.get("gda_threshold", knowledge.DEFAULT_GDA_THRESHOLD)),
+        default=str(cfg["gda_threshold"]) if "gda_threshold" in cfg else None,
     )
     p.add_argument(
         "--granularity", choices=["mutation", "gene"],
@@ -345,11 +358,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-short", type=int, default=cfg.get("t_short", 6))
 
     p = add("freq", cmd_freq, "frequency table of mutations or genes")
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in co.FrequencyMode],
-        default="mutation",
-    )
+    p.add_argument("--mode", choices=_FREQUENCY_MODES, default="mutation")
     p.add_argument("--top-n", type=int, default=cfg.get("top_n", 10))
     p.add_argument("--disease", default=None)
     p.add_argument("--band", choices=["all", *_BANDS], default="all")

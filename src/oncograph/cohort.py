@@ -21,15 +21,14 @@ import decimal
 import enum
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey, key_text
 
 
-@dataclass(frozen=True)
-class MutationProfile:
+class MutationProfile(NamedTuple):
     """A patient's green neighborhood as a set of mutation items.
 
     Items are MutationKey at mutation granularity or gene symbols after a
@@ -40,15 +39,13 @@ class MutationProfile:
     mutations: frozenset
 
 
-@dataclass(frozen=True)
-class SurvivalPartition:
+class SurvivalPartition(NamedTuple):
     long_survivors: frozenset[str]
     short_deceased: frozenset[str]
     rest: frozenset[str]
 
 
-@dataclass(frozen=True)
-class CoexistenceSet:
+class CoexistenceSet(NamedTuple):
     mutations: frozenset
     support_percent: Fraction
     supporting_patients: frozenset[str]
@@ -362,8 +359,7 @@ def _gene_of(item) -> str:
     return item.gene if isinstance(item, MutationKey) else str(item)
 
 
-@dataclass(frozen=True)
-class CoMutationRow:
+class CoMutationRow(NamedTuple):
     gene: str
     pct_patients: Fraction
     pct_living: Fraction

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, KeysView
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ class Effectiveness(enum.Enum):
     NEGATIVE = "n"
 
 
-@dataclass(frozen=True, slots=True)
-class PatientRecord:
+class PatientRecord(NamedTuple):
     """A pseudonymized patient with survival period in whole months."""
 
     patient_id: str
@@ -82,20 +80,17 @@ class MutationKey(NamedTuple):
         return f"{self.gene}_{self.chromosome}_{self.start}_{self.end}"
 
 
-@dataclass(frozen=True, slots=True)
-class DiseaseNode:
+class DiseaseNode(NamedTuple):
     disease_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class DrugNode:
+class DrugNode(NamedTuple):
     drug_id: str
     adverse_effects: str | None = None
     toxicity_weight: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True, slots=True)
-class GeneticEdge:
+class GeneticEdge(NamedTuple):
     """Green patient-mutation edge; vaf is None when the export lacked it."""
 
     patient_id: str
@@ -103,14 +98,12 @@ class GeneticEdge:
     vaf: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class DiagnosisEdge:
+class DiagnosisEdge(NamedTuple):
     disease_id: str
     patient_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class TreatmentEdge:
+class TreatmentEdge(NamedTuple):
     """Red patient-drug edge; drugs in a cocktail share the same order."""
 
     patient_id: str
@@ -119,15 +112,13 @@ class TreatmentEdge:
     effectiveness: Effectiveness
 
 
-@dataclass(frozen=True, slots=True)
-class GdaAssociation:
+class GdaAssociation(NamedTuple):
     disease_id: str
     mutation: MutationKey
     gda_score: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class TargetEdge:
+class TargetEdge(NamedTuple):
     mutation: MutationKey
     drug_id: str
 
@@ -139,8 +130,7 @@ Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
 NodeRef = tuple[Partition, object]
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     category: str
     message: str
 
@@ -418,7 +408,7 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
             if label_issue:
                 out.append(Violation(LABEL_OUT_OF_RANGE, label_issue))
                 continue
-            pair = (type(edge), a, b)
+            pair = (type(edge), a, b)  # edges of two types can be equal tuples
             if kind.duplicate and pair in seen:
                 repeats.append(Violation(
                     DUPLICATE_EDGE, f"duplicate {color.value} edge {key_text(a)}-{key_text(b)}"))

@@ -21,9 +21,8 @@ from bare drug-id sets (``make_instance``); they have no file format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey
@@ -31,24 +30,26 @@ from .graph import KnowledgeGraph, MutationKey
 ORACLE_UNIVERSE_LIMIT = 20
 
 
-@dataclass(frozen=True)
 class HittingSetInstance:
+    """Target sets over a universe of drugs, checked when the instance is made."""
+
     universe: tuple[str, ...]                 # sorted drug ids
     family: tuple[frozenset[str], ...]        # one non-empty set per mutation
     weights: Mapping[str, Fraction]
-    origin: Mapping[int, MutationKey] = field(default_factory=dict)
+    origin: Mapping[int, MutationKey]         # family index -> its mutation
 
-    def __post_init__(self):
-        u = set(self.universe)
-        for i, s in enumerate(self.family):
+    def __init__(self, universe, family, weights, origin=None) -> None:
+        u = set(universe)
+        for i, s in enumerate(family):
             if not s:
                 raise errors.Untargetable(f"set #{i}")
             if not s <= u:
                 raise ValueError(f"family set #{i} not within universe")
+        self.universe, self.family, self.weights = universe, family, weights
+        self.origin = {} if origin is None else origin
 
 
-@dataclass(frozen=True)
-class TreatmentSolution:
+class TreatmentSolution(NamedTuple):
     drugs: frozenset[str]
     total_weight: Fraction
     hits: Mapping[MutationKey, frozenset[str]]

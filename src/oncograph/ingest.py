@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from . import errors
 from .graph import (
@@ -83,34 +82,33 @@ _MAX_SCORE_PLACES = 1000
 _ID_COLUMNS = {"sample_id", "gene", "chromosome", "drug_id"}
 
 
-@dataclass(frozen=True, slots=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     file: str
     line: int
     severity: str  # "error" | "warning" | "info"
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class GdaTableRow:
+class GdaTableRow(NamedTuple):
     gene: str
     disease: str
     gda_score: Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class DrugTargetTableRow:
+class DrugTargetTableRow(NamedTuple):
     drug_id: str
     gene: str
     toxicity_weight: Fraction | None = None  # None: not given, so it cannot conflict
     adverse_effects: str | None = None
 
 
-@dataclass
 class ParseResult:
-    rows: list
-    issues: list[ReportEntry] = field(default_factory=list)
-    data_lines: int = 0
+    """A table's rows, issues and count of data lines, filled in as it is read."""
+
+    def __init__(self) -> None:
+        self.rows: list = []
+        self.issues: list[ReportEntry] = []
+        self.data_lines = 0
 
 
 def _open(source) -> tuple[TextIO, str]:
@@ -139,7 +137,7 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     """
     stream, name = _open(source)
     close = not hasattr(source, "read")
-    result = ParseResult(rows=[])
+    result = ParseResult()
     required, optional = columns
     try:
         header: list[str] | None = None

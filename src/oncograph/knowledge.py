@@ -10,8 +10,8 @@ four consistency statuses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import errors
 from .cohort import profiles_from_graph
@@ -32,16 +32,14 @@ class ConsistencyStatus(enum.Enum):
     COMBINATION = "combination"
 
 
-@dataclass(frozen=True)
-class DiseaseEvidence:
+class DiseaseEvidence(NamedTuple):
     patients: frozenset[str]
     union_mutations: frozenset
     common_mutations: frozenset
     known_mutations: frozenset
 
 
-@dataclass(frozen=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(NamedTuple):
     status: ConsistencyStatus
     missing_from_knowledge: frozenset  # in common evidence but not known
     unsupported_knowledge: frozenset   # known but not common in evidence

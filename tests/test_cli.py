@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oncograph import cli
+from oncograph import cli, cohort
 
 from conftest import FIXTURES, REPO
 
@@ -219,6 +219,11 @@ class TestExactThresholds:
         assert not out.exists()
 
 
+def test_freq_modes_are_the_frequency_modes():
+    # The parser names them itself, so that building it does not import cohort.
+    assert list(cli._FREQUENCY_MODES) == [m.value for m in cohort.FrequencyMode]
+
+
 class TestConfigFile:
     def test_config_supplies_inputs_and_defaults(self, tmp_path, monkeypatch):
         flags = fixture_args(tmp_path / "flags") + ["--k", "2", "--t-long", "20"]
@@ -242,7 +247,7 @@ class TestConfigFile:
             # Both settings change this output, so the match shows they were read.
             assert (tmp_path / "plain" / name).read_bytes() != expected
 
-    @pytest.mark.parametrize("content", [None, "{not json"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_unreadable_config_is_io_error(self, tmp_path, monkeypatch, content, capsys):
         config = tmp_path / "config.json"
         if content is not None:

@@ -17,7 +17,11 @@ from oncograph import (
     PatientRecord,
     TargetEdge,
     TreatmentEdge,
+    cohort,
     errors,
+    hitting_set,
+    ingest,
+    knowledge,
     validate,
 )
 from oncograph.cohort import profiles_from_graph
@@ -435,3 +439,49 @@ class TestDowngrade:
         b = MutationKey("TP53", "17", 7577120, 7577120)
         assert self.gene_profile(a, b) == {"TP53"}
         assert self.gene_profile(a, b, KRAS_MUT) == {"TP53", "KRAS"}
+
+
+class TestRecords:
+    """Records are named tuples: immutable, and told apart by their type."""
+
+    @pytest.mark.parametrize(
+        "record_type",
+        [
+            PatientRecord, MutationKey, DiseaseNode, DrugNode, GeneticEdge,
+            DiagnosisEdge, TreatmentEdge, GdaAssociation, TargetEdge, Violation,
+            ingest.ReportEntry, ingest.GdaTableRow, ingest.DrugTargetTableRow,
+            cohort.MutationProfile, cohort.SurvivalPartition, cohort.CoexistenceSet,
+            cohort.CoMutationRow, knowledge.DiseaseEvidence, knowledge.ConsistencyVerdict,
+            hitting_set.TreatmentSolution,
+        ],
+    )
+    def test_fields_cannot_be_set(self, record_type):
+        record = record_type(*[None] * len(record_type._fields))
+        for name in record_type._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+
+    def test_equal_tuples_of_two_edge_types_stay_apart(self):
+        # Both are ("X", KRAS_MUT, 1/2), so they compare equal as tuples.
+        green = GeneticEdge("X", KRAS_MUT, Fraction(1, 2))
+        magenta = GdaAssociation("X", KRAS_MUT, Fraction(1, 2))
+        assert green == magenta
+        g = KnowledgeGraph()
+        g.add_node(PatientRecord("X", 1, True))
+        g.add_node(DiseaseNode("X"))
+        g.add_node(KRAS_MUT)
+        g.add_edge(green)
+        g.add_edge(magenta)
+        assert g.edge_counts() == {"green": 1, "red": 0, "magenta": 1}
+        assert g.mutations_of_patient("X") == {KRAS_MUT}
+        assert g.gda_scores("X") == {KRAS_MUT: Fraction(1, 2)}
+        assert validate(g) == []
+        with pytest.raises(errors.DuplicateEdge, match="^genetic edge X-"):
+            g.add_edge(green)
+        with pytest.raises(errors.DuplicateEdge, match="^gda X-"):
+            g.add_edge(magenta)
+        # A forged repeat of one is a duplicate of its own color only.
+        g.edge_records(EdgeColor.MAGENTA).append(magenta)
+        assert [v.message for v in validate(g)] == [
+            f"duplicate magenta edge X-{KRAS_MUT.display()}"
+        ]
