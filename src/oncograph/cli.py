@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 # Each call is a new interpreter, so cohort, knowledge, hitting_set and json
 # are imported only where they are used: an unneeded import is start-up cost.
@@ -63,13 +64,51 @@ def _config_defaults() -> dict:
         raise SystemExit(EXIT_IO)
 
 
+def _configure(action: argparse.Action, cfg: dict) -> None:
+    """Takes an option's default from the config, read as the option reads its
+    command-line text: argparse converts only a string default and checks no
+    default against the choices. An option with no type takes only a string."""
+    if action.dest not in cfg:
+        return
+    value = cfg[action.dest]
+    try:
+        if action.type:
+            value = action.type(str(value))
+        elif not isinstance(value, str):
+            raise ValueError
+        if action.choices is not None and value not in action.choices:
+            raise ValueError
+    except ValueError:
+        path = os.environ[CONFIG_ENV]
+        print(f"cannot read config {path}: bad {action.dest} value {cfg[action.dest]!r}",
+              file=sys.stderr)
+        raise SystemExit(EXIT_IO) from None
+    action.default = value
+
+
 def _add_io_args(p: argparse.ArgumentParser, cfg: dict) -> None:
-    p.add_argument("--mutations", default=cfg.get("mutations"), help="mutation table TSV")
-    p.add_argument("--clinical", default=cfg.get("clinical"), help="clinical table TSV")
-    p.add_argument("--gda", default=cfg.get("gda"), help="gene-disease association TSV")
-    p.add_argument("--drugs", default=cfg.get("drugs"), help="drug target TSV")
-    p.add_argument("--treatments", default=cfg.get("treatments"), help="optional treatment TSV")
-    p.add_argument("--out", default=cfg.get("out", "."), help="output directory")
+    _configure(p.add_argument("--mutations", help="mutation table TSV"), cfg)
+    _configure(p.add_argument("--clinical", help="clinical table TSV"), cfg)
+    _configure(p.add_argument("--gda", help="gene-disease association TSV"), cfg)
+    _configure(p.add_argument("--drugs", help="drug target TSV"), cfg)
+    _configure(p.add_argument("--treatments", help="optional treatment TSV"), cfg)
+    _configure(p.add_argument("--out", default=".", help="output directory"), cfg)
+
+
+def _help_width() -> int:
+    """The width argparse's HelpFormatter takes from shutil.get_terminal_size
+    (COLUMNS, else stdout's terminal, else 80, less 2), read once and with no
+    import of shutil and the compressors it loads."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return (columns or 80) - 2
 
 
 def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
@@ -328,11 +367,12 @@ def cmd_treat(args) -> int:
 
 def build_arg_parser() -> argparse.ArgumentParser:
     cfg = _config_defaults()
-    parser = _Parser(prog="oncograph", description=__doc__)
+    formatter = partial(argparse.HelpFormatter, width=_help_width())
+    parser = _Parser(prog="oncograph", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         _add_io_args(p, cfg)
         p.set_defaults(fn=fn)
         return p
@@ -340,30 +380,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add("build", cmd_build, "build the graph and report violations")
 
     p = add("check", cmd_check, "knowledge-vs-evidence consistency per disease")
-    p.add_argument(
-        "--gda-threshold", type=exact_number,
-        default=str(cfg["gda_threshold"]) if "gda_threshold" in cfg else None,
-    )
-    p.add_argument(
-        "--granularity", choices=["mutation", "gene"],
-        default=cfg.get("granularity", "gene"),
-    )
+    _configure(p.add_argument("--gda-threshold", type=exact_number), cfg)
+    _configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="gene"), cfg)
 
     p = add("cohort", cmd_cohort, "survival bands and profile-similarity groups")
     p.add_argument("--metric", choices=["hamming", "jaccard"], default="hamming")
-    p.add_argument("--k", type=exact_number, default=str(cfg.get("k", 0)))
+    _configure(p.add_argument("--k", type=exact_number, default="0"), cfg)
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
-    p.add_argument("--t-long", type=int, default=cfg.get("t_long", 36))
-    p.add_argument("--t-short", type=int, default=cfg.get("t_short", 6))
+    _configure(p.add_argument("--t-long", type=int, default=36), cfg)
+    _configure(p.add_argument("--t-short", type=int, default=6), cfg)
 
     p = add("freq", cmd_freq, "frequency table of mutations or genes")
     p.add_argument("--mode", choices=_FREQUENCY_MODES, default="mutation")
-    p.add_argument("--top-n", type=int, default=cfg.get("top_n", 10))
+    _configure(p.add_argument("--top-n", type=int, default=10), cfg)
     p.add_argument("--disease", default=None)
     p.add_argument("--band", choices=["all", *_BANDS], default="all")
-    p.add_argument("--t-long", type=int, default=cfg.get("t_long", 36))
-    p.add_argument("--t-short", type=int, default=cfg.get("t_short", 6))
+    _configure(p.add_argument("--t-long", type=int, default=36), cfg)
+    _configure(p.add_argument("--t-short", type=int, default=6), cfg)
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
     p.add_argument("--k", type=exact_number, required=True, help="support percentage")

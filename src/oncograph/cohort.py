@@ -20,35 +20,20 @@ from __future__ import annotations
 import decimal
 import enum
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey, key_text
 
 
-class MutationProfile(NamedTuple):
-    """A patient's green neighborhood as a set of mutation items.
-
-    Items are MutationKey at mutation granularity or gene symbols after a
-    gene-level downgrade.
-    """
-
-    patient_id: str
-    mutations: frozenset
-
-
-class SurvivalPartition(NamedTuple):
-    long_survivors: frozenset[str]
-    short_deceased: frozenset[str]
-    rest: frozenset[str]
-
-
-class CoexistenceSet(NamedTuple):
-    mutations: frozenset
-    support_percent: Fraction
-    supporting_patients: frozenset[str]
+# A patient's green neighborhood as a frozenset of mutation items: MutationKeys
+# at mutation granularity or gene symbols after a gene-level downgrade.
+MutationProfile = namedtuple("MutationProfile", "patient_id mutations")
+# Three frozensets of patient ids.
+SurvivalPartition = namedtuple("SurvivalPartition", "long_survivors short_deceased rest")
+# The items, their exact support percentage and the frozenset of patients carrying them all.
+CoexistenceSet = namedtuple("CoexistenceSet", "mutations support_percent supporting_patients")
 
 
 class FrequencyMode(enum.Enum):
@@ -359,11 +344,8 @@ def _gene_of(item) -> str:
     return item.gene if isinstance(item, MutationKey) else str(item)
 
 
-class CoMutationRow(NamedTuple):
-    gene: str
-    pct_patients: Fraction
-    pct_living: Fraction
-    pct_deceased: Fraction
+# A gene and its exact percentages.
+CoMutationRow = namedtuple("CoMutationRow", "gene pct_patients pct_living pct_deceased")
 
 
 def co_mutation_survival_table(

@@ -6,13 +6,14 @@ edge sets join them: green (patient-mutation, labeled with VAF), red
 (disease-mutation associations scored in [0,1] and mutation-drug targets).
 
 One table declares each edge type: its color, its two endpoint partitions
-in order, how its endpoint keys and label are read, and whether a pair may
-repeat; another gives each node type's partition and key. So an edge's type
-fixes which partitions it joins, and no edge can join two nodes of one
-partition. ``add_node``, ``add_edge``, ``has_node``, ``neighbors`` and
-``validate`` read these tables. Each color's record list holds the typed
-edges themselves, and those records are the source of truth; ``validate``
-reads only them, so it also catches records that bypassed ``add_edge``.
+in order, how its endpoint keys and label are read, the range rule of its
+label, and whether a pair may repeat; another gives each node type's
+partition and key. So an edge's type fixes which partitions it joins, and
+no edge can join two nodes of one partition. ``add_node``, ``add_edges``,
+``has_node``, ``neighbors`` and ``validate`` read these tables. Each
+color's record list holds the typed edges themselves, and those records are
+the source of truth; ``validate`` reads only them, so it also catches
+records that bypassed ``add_edges``.
 Each edge type also fills an index of its own, of one shape, first key ->
 {second key: label}, where the label is the VAF, the GDA score or None:
 patient -> mutations, disease -> patients, disease -> mutations, mutation
@@ -26,9 +27,9 @@ reads and safe for concurrent use.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, KeysView
+from collections import namedtuple
+from collections.abc import Iterable, KeysView
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 
@@ -55,15 +56,11 @@ class Effectiveness(enum.Enum):
     NEGATIVE = "n"
 
 
-class PatientRecord(NamedTuple):
-    """A pseudonymized patient with survival period in whole months."""
-
-    patient_id: str
-    survival_months: int
-    alive: bool
+# A pseudonymized patient with survival period in whole months.
+PatientRecord = namedtuple("PatientRecord", "patient_id survival_months alive")
 
 
-class MutationKey(NamedTuple):
+class MutationKey(namedtuple("MutationKey", "gene chromosome start end")):
     """Structured identity of a gene mutation.
 
     The underscore-joined form (e.g. ``KRAS_12_25398284_25398284``) is a
@@ -71,57 +68,23 @@ class MutationKey(NamedTuple):
     and sorts as the plain tuple of its fields.
     """
 
-    gene: str
-    chromosome: str
-    start: int
-    end: int
+    __slots__ = ()
 
     def display(self) -> str:
         return f"{self.gene}_{self.chromosome}_{self.start}_{self.end}"
 
 
-class DiseaseNode(NamedTuple):
-    disease_id: str
-
-
-class DrugNode(NamedTuple):
-    drug_id: str
-    adverse_effects: str | None = None
-    toxicity_weight: Fraction = Fraction(1)
-
-
-class GeneticEdge(NamedTuple):
-    """Green patient-mutation edge; vaf is None when the export lacked it."""
-
-    patient_id: str
-    mutation: MutationKey
-    vaf: float | None = None
-
-
-class DiagnosisEdge(NamedTuple):
-    disease_id: str
-    patient_id: str
-
-
-class TreatmentEdge(NamedTuple):
-    """Red patient-drug edge; drugs in a cocktail share the same order."""
-
-    patient_id: str
-    drug_id: str
-    order: int
-    effectiveness: Effectiveness
-
-
-class GdaAssociation(NamedTuple):
-    disease_id: str
-    mutation: MutationKey
-    gda_score: Fraction
-
-
-class TargetEdge(NamedTuple):
-    mutation: MutationKey
-    drug_id: str
-
+DiseaseNode = namedtuple("DiseaseNode", "disease_id")
+DrugNode = namedtuple(
+    "DrugNode", "drug_id adverse_effects toxicity_weight", defaults=(None, Fraction(1))
+)
+# Green patient-mutation edge; vaf is None when the export lacked it.
+GeneticEdge = namedtuple("GeneticEdge", "patient_id mutation vaf", defaults=(None,))
+DiagnosisEdge = namedtuple("DiagnosisEdge", "disease_id patient_id")
+# Red patient-drug edge; drugs in a cocktail share the same order.
+TreatmentEdge = namedtuple("TreatmentEdge", "patient_id drug_id order effectiveness")
+GdaAssociation = namedtuple("GdaAssociation", "disease_id mutation gda_score")
+TargetEdge = namedtuple("TargetEdge", "mutation drug_id")
 
 Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
 
@@ -129,11 +92,7 @@ Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
 # strings or MutationKey instances.
 NodeRef = tuple[Partition, object]
 
-
-class Violation(NamedTuple):
-    category: str
-    message: str
-
+Violation = namedtuple("Violation", "category message")
 
 # Violation categories emitted by validate().
 PARTITION_VIOLATION = "partition_violation"
@@ -143,36 +102,54 @@ DUPLICATE_EDGE = "duplicate_edge"
 NODE_INVARIANT = "node_invariant"
 
 
-class _EdgeKind(NamedTuple):
-    """How one edge type sits in the graph."""
+def _vaf_issue(e: GeneticEdge) -> str | None:
+    if e.vaf is not None and not 0 <= e.vaf <= 1:
+        return f"vaf {e.vaf} outside [0, 1]"
+    return None
 
-    color: EdgeColor
-    first: Partition
-    second: Partition
-    read: Callable  # edge -> (first key, second key, label)
-    duplicate: str | None  # what a repeated pair reports; None: it may repeat
 
+def _gda_issue(e: GdaAssociation) -> str | None:
+    # The score is an exact Fraction: compared with the ints 0 and 1, never
+    # with a float.
+    if not 0 <= e.gda_score <= 1:
+        return f"gda_score {e.gda_score} outside [0, 1]"
+    return None
+
+
+def _treatment_issue(e: TreatmentEdge) -> str | None:
+    if e.order < 0:
+        return "treatment order < 0"
+    if not isinstance(e.effectiveness, Effectiveness):
+        return f"bad effectiveness {e.effectiveness!r}"
+    return None
+
+
+# How one edge type sits in the graph: its color and endpoint partitions;
+# read, edge -> (first key, second key, label); check, edge -> the label rule
+# it breaks or None (check is None for diagnoses and targets, which carry no
+# label); and duplicate, what a repeated pair reports (None: it may repeat).
+_EdgeKind = namedtuple("_EdgeKind", "color first second read check duplicate")
 
 _EDGE_KINDS = {
     GeneticEdge: _EdgeKind(
         EdgeColor.GREEN, Partition.PATIENT, Partition.MUTATION,
-        lambda e: (e.patient_id, e.mutation, e.vaf), "genetic edge",
+        lambda e: (e.patient_id, e.mutation, e.vaf), _vaf_issue, "genetic edge",
     ),
     DiagnosisEdge: _EdgeKind(
         EdgeColor.RED, Partition.DISEASE, Partition.PATIENT,
-        lambda e: (e.disease_id, e.patient_id, None), "diagnosis",
+        lambda e: (e.disease_id, e.patient_id, None), None, "diagnosis",
     ),
     TreatmentEdge: _EdgeKind(
         EdgeColor.RED, Partition.PATIENT, Partition.DRUG,
-        lambda e: (e.patient_id, e.drug_id, None), None,
+        lambda e: (e.patient_id, e.drug_id, None), _treatment_issue, None,
     ),
     GdaAssociation: _EdgeKind(
         EdgeColor.MAGENTA, Partition.DISEASE, Partition.MUTATION,
-        lambda e: (e.disease_id, e.mutation, e.gda_score), "gda",
+        lambda e: (e.disease_id, e.mutation, e.gda_score), _gda_issue, "gda",
     ),
     TargetEdge: _EdgeKind(
         EdgeColor.MAGENTA, Partition.MUTATION, Partition.DRUG,
-        lambda e: (e.mutation, e.drug_id, None), "target",
+        lambda e: (e.mutation, e.drug_id, None), None, "target",
     ),
 }
 
@@ -287,30 +264,44 @@ class KnowledgeGraph:
     # Edges
 
     def add_edge(self, edge: Edge) -> Edge:
-        """Insert a typed edge into its colored set.
-
-        Raises InvalidLabel for out-of-range labels (checked first, as they
-        depend on the edge alone), MissingEndpoint if an endpoint node is
-        absent, DuplicateEdge for a repeated pair of a kind that may not
-        repeat.
-        """
-        issue = _label_issue(edge)
-        if issue:
-            raise errors.InvalidLabel(issue)
-        try:
-            kind, firsts, seconds, index, records = self._by_type[type(edge)]
-        except KeyError:
-            raise TypeError(f"unsupported edge type {type(edge).__name__}") from None
-        a, b, label = kind.read(edge)
-        if a not in firsts or b not in seconds:
-            part, key = (kind.first, a) if a not in firsts else (kind.second, b)
-            raise errors.MissingEndpoint(f"{part.value} {key_text(key)}")
-        adjacent = index.setdefault(a, {})
-        if kind.duplicate and b in adjacent:
-            raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
-        adjacent[b] = label
-        records.append(edge)
+        """Insert one typed edge; see ``add_edges``."""
+        self.add_edges((edge,))
         return edge
+
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        """Insert typed edges in order, each into its colored set.
+
+        At the first edge that breaks a rule, raises InvalidLabel for an
+        out-of-range label (checked first, as it depends on the edge alone),
+        MissingEndpoint if an endpoint node is absent, or DuplicateEdge for a
+        repeated pair of a kind that may not repeat; the edges before it
+        stay inserted. The tables of an edge type are looked up once per run
+        of edges of that type.
+        """
+        edge_type = None
+        for edge in edges:
+            if type(edge) is not edge_type:
+                edge_type = type(edge)
+                try:
+                    kind, firsts, seconds, index, records = self._by_type[edge_type]
+                except KeyError:
+                    raise TypeError(f"unsupported edge type {edge_type.__name__}") from None
+                read, check, duplicate = kind.read, kind.check, kind.duplicate
+            if check:
+                issue = check(edge)
+                if issue:
+                    raise errors.InvalidLabel(issue)
+            a, b, label = read(edge)
+            if a not in firsts or b not in seconds:
+                part, key = (kind.first, a) if a not in firsts else (kind.second, b)
+                raise errors.MissingEndpoint(f"{part.value} {key_text(key)}")
+            adjacent = index.get(a)
+            if adjacent is None:
+                adjacent = index[a] = {}
+            elif duplicate and b in adjacent:
+                raise errors.DuplicateEdge(f"{duplicate} {key_text(a)}-{key_text(b)}")
+            adjacent[b] = label
+            records.append(edge)
 
     def edge_records(self, color: EdgeColor) -> list[Edge]:
         """The typed edges of one color (used by validate and audit code)."""
@@ -385,30 +376,32 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
             if issue:
                 out.append(Violation(NODE_INVARIANT, issue))
 
-    # Each edge type's endpoint tables, looked up by Partition once per call.
-    ends = {t: (graph._nodes[k.first], graph._nodes[k.second]) for t, k in _EDGE_KINDS.items()}
     seen: set[tuple] = set()
     repeats: list[Violation] = []
     for color in EdgeColor:
+        edge_type = None
         for edge in graph.edge_records(color):
-            kind = _EDGE_KINDS.get(type(edge))
+            if type(edge) is not edge_type:  # look a type up once per run of its edges
+                edge_type = type(edge)
+                kind = _EDGE_KINDS.get(edge_type)
+                if kind:
+                    firsts, seconds = graph._nodes[kind.first], graph._nodes[kind.second]
             if kind is None or kind.color is not color:
                 text = (f"{color.value} edge joins {kind.first.value} and {kind.second.value}"
-                        if kind else f"{color.value} record {type(edge).__name__} is not an edge")
+                        if kind else f"{color.value} record {edge_type.__name__} is not an edge")
                 out.append(Violation(PARTITION_VIOLATION, text))
                 continue
             a, b, _ = kind.read(edge)
-            firsts, seconds = ends[type(edge)]
             if a not in firsts or b not in seconds:
                 out.append(
                     Violation(DANGLING_ENDPOINT, f"{color.value} edge references a missing node")
                 )
                 continue
-            label_issue = _label_issue(edge)
+            label_issue = kind.check and kind.check(edge)
             if label_issue:
                 out.append(Violation(LABEL_OUT_OF_RANGE, label_issue))
                 continue
-            pair = (type(edge), a, b)  # edges of two types can be equal tuples
+            pair = (edge_type, a, b)  # edges of two types can be equal tuples
             if kind.duplicate and pair in seen:
                 repeats.append(Violation(
                     DUPLICATE_EDGE, f"duplicate {color.value} edge {key_text(a)}-{key_text(b)}"))
@@ -434,20 +427,4 @@ def _node_issue(node) -> str | None:
     elif isinstance(node, DrugNode):
         if node.toxicity_weight < 0:
             return f"drug {node.drug_id}: negative weight"
-    return None
-
-
-def _label_issue(edge: Edge) -> str | None:
-    """The label range that an edge breaks, if any."""
-    if isinstance(edge, GeneticEdge):
-        if edge.vaf is not None and not 0.0 <= edge.vaf <= 1.0:
-            return f"vaf {edge.vaf} outside [0, 1]"
-    elif isinstance(edge, GdaAssociation):
-        if not 0.0 <= edge.gda_score <= 1.0:
-            return f"gda_score {edge.gda_score} outside [0, 1]"
-    elif isinstance(edge, TreatmentEdge):
-        if edge.order < 0:
-            return "treatment order < 0"
-        if not isinstance(edge.effectiveness, Effectiveness):
-            return f"bad effectiveness {edge.effectiveness!r}"
     return None

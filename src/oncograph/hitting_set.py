@@ -21,8 +21,9 @@ from bare drug-id sets (``make_instance``); they have no file format.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey
@@ -49,10 +50,9 @@ class HittingSetInstance:
         self.origin = {} if origin is None else origin
 
 
-class TreatmentSolution(NamedTuple):
-    drugs: frozenset[str]
-    total_weight: Fraction
-    hits: Mapping[MutationKey, frozenset[str]]
+# The chosen drugs, their exact total weight, and each target mutation's
+# chosen drugs.
+TreatmentSolution = namedtuple("TreatmentSolution", "drugs total_weight hits")
 
 
 def build_instance(

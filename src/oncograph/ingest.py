@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import decimal
 import math
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, NamedTuple, TextIO
+from operator import itemgetter
 
 from . import errors
 from .graph import (
@@ -36,7 +38,7 @@ from .graph import (
 )
 
 # Per table: logical column -> header name, the required columns, then the
-# optional ones.
+# optional ones. A row function takes the cells in this order.
 MUTATION_COLUMNS = (
     {
         "sample_id": "sample_id",
@@ -82,24 +84,13 @@ _MAX_SCORE_PLACES = 1000
 _ID_COLUMNS = {"sample_id", "gene", "chromosome", "drug_id"}
 
 
-class ReportEntry(NamedTuple):
-    file: str
-    line: int
-    severity: str  # "error" | "warning" | "info"
-    message: str
-
-
-class GdaTableRow(NamedTuple):
-    gene: str
-    disease: str
-    gda_score: Fraction
-
-
-class DrugTargetTableRow(NamedTuple):
-    drug_id: str
-    gene: str
-    toxicity_weight: Fraction | None = None  # None: not given, so it cannot conflict
-    adverse_effects: str | None = None
+# severity is "error", "warning" or "info".
+ReportEntry = namedtuple("ReportEntry", "file line severity message")
+GdaTableRow = namedtuple("GdaTableRow", "gene disease gda_score")
+# A toxicity_weight of None is not given, so it cannot conflict.
+DrugTargetTableRow = namedtuple(
+    "DrugTargetTableRow", "drug_id gene toxicity_weight adverse_effects", defaults=(None, None)
+)
 
 
 class ParseResult:
@@ -111,7 +102,7 @@ class ParseResult:
         self.data_lines = 0
 
 
-def _open(source) -> tuple[TextIO, str]:
+def _open(source) -> tuple:
     if hasattr(source, "read"):
         return source, getattr(source, "name", "<stream>")
     return open(source, "r", encoding="utf-8"), str(source)
@@ -132,60 +123,62 @@ def undecodable_line(path) -> int:
 def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     """Shared TSV scaffolding: comments, header mapping, per-row conversion.
 
-    ``row_fn(values: dict[str, str | None]) -> row`` raises ValueError with a
-    message for malformed rows.
+    The header is mapped to column positions once. ``row_fn`` gets each data
+    row's stripped cells as positional arguments, in the order ``columns``
+    declares them; an optional column that the header lacks or a short row
+    does not reach gives ``""``. A row with an empty required cell or a comma
+    in an id is reported without calling it. ``row_fn`` returns the row or
+    raises ValueError with a message for a malformed one.
     """
     stream, name = _open(source)
     close = not hasattr(source, "read")
     result = ParseResult()
     required, optional = columns
+    names = [*required, *optional]
+    n_required = len(required)
     try:
-        header: list[str] | None = None
-        index: dict[str, int] = {}
+        pick = None
         for lineno, raw in enumerate(stream, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            head = raw.lstrip()
+            if not head or head[0] == "#":
                 continue
-            fields = line.split("\t")
-            if header is None:
-                header = [h.strip() for h in fields]
-                for logical, colname in (*required.items(), *optional.items()):
-                    if colname in header:
-                        index[logical] = header.index(colname)
-                    elif logical in required:
+            # The line ending is blank, so stripping the last cell drops it.
+            cells = raw.split("\t")
+            if pick is None:
+                header = [h.strip() for h in cells]
+                for logical, colname in required.items():
+                    if colname not in header:
                         raise errors.MissingColumn(
                             f"{name}: header lacks column '{colname}' ({logical})"
                         )
+                # One blank cell past the header's stands for every absent column.
+                width = len(header)
+                pick = itemgetter(*(  # every table has two or more columns
+                    header.index(c) if c in header else width
+                    for c in (*required.values(), *optional.values())
+                ))
                 continue
             result.data_lines += 1
-            values: dict[str, str | None] = {}
-            missing = [
-                logical
-                for logical, i in index.items()
-                if logical in required and (i >= len(fields) or not fields[i].strip())
-            ]
-            if missing:
-                result.issues.append(
-                    ReportEntry(
-                        name, lineno, "error", f"missing required field(s): {', '.join(missing)}"
-                    )
-                )
+            if len(cells) != width:
+                cells = (cells + [""] * width)[:width]
+            cells.append("")
+            row = tuple(map(str.strip, pick(cells)))
+            if "" in row[:n_required]:
+                missing = [c for c, cell in zip(names, row[:n_required]) if not cell]
+                result.issues.append(ReportEntry(
+                    name, lineno, "error", f"missing required field(s): {', '.join(missing)}"
+                ))
                 continue
-            if "," in line:
-                bad = [
-                    f"{c} '{fields[i].strip()}'"
-                    for c, i in index.items()
-                    if c in _ID_COLUMNS and "," in fields[i]
-                ]
+            if "," in raw:
+                bad = [f"{c} '{cell}'" for c, cell in zip(names, row)
+                       if c in _ID_COLUMNS and "," in cell]
                 if bad:
                     result.issues.append(
                         ReportEntry(name, lineno, "error", f"comma in {', '.join(bad)}")
                     )
                     continue
-            for logical, i in index.items():
-                values[logical] = fields[i].strip() if i < len(fields) else None
             try:
-                result.rows.append(row_fn(values))
+                result.rows.append(row_fn(*row))
             except ValueError as exc:
                 result.issues.append(ReportEntry(name, lineno, "error", str(exc)))
     except UnicodeDecodeError:
@@ -197,12 +190,6 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
         if close:
             stream.close()
     return result
-
-
-def _parse_vaf(text: str | None) -> float | None:
-    if text is None or text.lower() in _VAF_SENTINELS:
-        return None
-    return _unit_interval("vaf", text)
 
 
 def _unit_interval(column: str, text: str) -> float:
@@ -230,19 +217,29 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def parse_mutation_table(source) -> ParseResult:
-    """Rows as GeneticEdges; the rows on one locus share one MutationKey."""
-    loci: dict[tuple[str, str, int, int], MutationKey] = {}
+    """Rows as GeneticEdges; the rows on one locus share one MutationKey,
+    however its positions are spelled (``12`` and ``012``)."""
+    keys: dict[tuple[str, str, int, int], MutationKey] = {}
+    # The key of each locus as its four cells spell it, so that a repeated
+    # locus is not parsed again.
+    spelled: dict[tuple[str, str, str, str], MutationKey] = {}
 
-    def row_fn(v):
-        start = _parse_int(v["start"], "start_position")
-        end = _parse_int(v["end"], "end_position")
-        if start < 0 or start > end:
-            raise ValueError(f"bad locus range {start}..{end}")
-        locus = (v["gene"], v["chromosome"], start, end)
-        mutation = loci.get(locus)
+    def row_fn(sample_id, gene, chromosome, start_text, end_text, vaf):
+        cells = (gene, chromosome, start_text, end_text)
+        mutation = spelled.get(cells)
         if mutation is None:
-            mutation = loci[locus] = MutationKey(*locus)
-        return GeneticEdge(v["sample_id"], mutation, _parse_vaf(v.get("vaf")))
+            start = _parse_int(start_text, "start_position")
+            end = _parse_int(end_text, "end_position")
+            if start < 0 or start > end:
+                raise ValueError(f"bad locus range {start}..{end}")
+            locus = (gene, chromosome, start, end)
+            mutation = keys.get(locus)
+            if mutation is None:
+                mutation = keys[locus] = MutationKey(*locus)
+            spelled[cells] = mutation
+        if vaf.lower() in _VAF_SENTINELS:  # "" too: a VAF not given
+            return GeneticEdge(sample_id, mutation, None)
+        return GeneticEdge(sample_id, mutation, _unit_interval("vaf", vaf))
 
     return _parse_table(source, MUTATION_COLUMNS, row_fn)
 
@@ -255,58 +252,50 @@ def parse_clinical_table(source) -> ParseResult:
     """Rows as (PatientRecord, DiagnosisEdge) pairs, survival floored to
     whole months; the disease is the verbatim cancer type."""
 
-    def row_fn(v):
+    def row_fn(pid, cancer_type, os_months, os_status):
         try:
-            months = float(v["os_months"])
+            months = float(os_months)
         except ValueError:
             months = math.nan
         if not math.isfinite(months):
-            raise ValueError(f"non-numeric os_months '{v['os_months']}'")
+            raise ValueError(f"non-numeric os_months '{os_months}'")
         if months < 0:
             raise ValueError(f"negative os_months {months}")
-        status = v["os_status"].lower()
+        status = os_status.lower()
         if status not in _LIVING and status not in _DECEASED:
-            raise ValueError(f"unrecognized os_status '{v['os_status']}'")
-        pid = v["sample_id"]
+            raise ValueError(f"unrecognized os_status '{os_status}'")
         return (
             PatientRecord(pid, math.floor(months), status in _LIVING),
-            DiagnosisEdge(v["cancer_type"].strip(), pid),
+            DiagnosisEdge(cancer_type, pid),
         )
 
     return _parse_table(source, CLINICAL_COLUMNS, row_fn)
 
 
 def parse_gda_table(source) -> ParseResult:
-    def row_fn(v):
-        text = v["gda_score"]
+    def row_fn(gene, disease, text):
         _unit_interval("gda_score", text)
         # The score is the exact value of the decimal text, whose integer
         # ratio grows with its exponent, so the exponent is bounded first.
         exact = decimal.Decimal(text)
         if exact.as_tuple().exponent < -_MAX_SCORE_PLACES:
             raise ValueError(f"gda_score {text} has more than {_MAX_SCORE_PLACES} decimal places")
-        return GdaTableRow(gene=v["gene"], disease=v["disease"].strip(), gda_score=Fraction(exact))
+        return GdaTableRow(gene, disease, Fraction(exact))
 
     return _parse_table(source, GDA_COLUMNS, row_fn)
 
 
 def parse_drug_target_table(source) -> ParseResult:
-    def row_fn(v):
+    def row_fn(drug_id, gene, wtext, adverse_effects):
         weight = None
-        wtext = v.get("weight")
-        if wtext not in (None, ""):
+        if wtext:
             try:
                 weight = Fraction(wtext)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"non-numeric weight '{wtext}'") from None
             if weight < 0:
                 raise ValueError(f"negative weight {wtext}")
-        return DrugTargetTableRow(
-            drug_id=v["drug_id"],
-            gene=v["gene"],
-            toxicity_weight=weight,
-            adverse_effects=v.get("adverse_effects") or None,
-        )
+        return DrugTargetTableRow(drug_id, gene, weight, adverse_effects or None)
 
     return _parse_table(source, DRUG_COLUMNS, row_fn)
 
@@ -314,14 +303,14 @@ def parse_drug_target_table(source) -> ParseResult:
 def parse_treatment_table(source) -> ParseResult:
     codes = {e.value: e for e in Effectiveness}
 
-    def row_fn(v):
-        order = _parse_int(v["order"], "order")
+    def row_fn(pid, drug_id, order_text, effectiveness):
+        order = _parse_int(order_text, "order")
         if order < 0:
             raise ValueError(f"negative order {order}")
-        eff = codes.get(v["effectiveness"].lower())
+        eff = codes.get(effectiveness.lower())
         if eff is None:
-            raise ValueError(f"unrecognized effectiveness '{v['effectiveness']}'")
-        return TreatmentEdge(v["sample_id"], v["drug_id"], order, eff)
+            raise ValueError(f"unrecognized effectiveness '{effectiveness}'")
+        return TreatmentEdge(pid, drug_id, order, eff)
 
     return _parse_table(source, TREATMENT_COLUMNS, row_fn)
 
@@ -349,6 +338,7 @@ def build_graph(
     def note(severity: str, message: str) -> None:
         report.append(ReportEntry("build", 0, severity, message))
 
+    diagnoses = []
     for patient, diagnosis in sorted(clinical_rows, key=lambda r: r[0].patient_id):
         if patient.patient_id in graph.patients:
             note("warning", f"duplicate clinical row for {patient.patient_id}; first kept")
@@ -356,14 +346,16 @@ def build_graph(
         graph.add_node(patient)
         if diagnosis.disease_id not in graph.diseases:
             graph.add_node(DiseaseNode(diagnosis.disease_id))
-        graph.add_edge(diagnosis)
+        diagnoses.append(diagnosis)
+    graph.add_edges(diagnoses)
 
     # Collapse duplicate (patient, mutation) edges keeping the max VAF (None
     # sorts below any number).
     best: dict[tuple[str, MutationKey], GeneticEdge] = {}
     orphans = 0
+    patients = graph.patients
     for edge in mutation_rows:
-        if edge.patient_id not in graph.patients:
+        if edge.patient_id not in patients:
             orphans += 1
             note("warning", f"orphan mutation row: unknown sample {edge.patient_id}")
             continue
@@ -378,11 +370,13 @@ def build_graph(
             if prev.vaf is not None and (edge.vaf is None or edge.vaf <= prev.vaf):
                 continue
         best[pair] = edge
-    for pair in sorted(best):
-        edge = best[pair]
-        if edge.mutation not in graph.mutations:
+    # The pairs are distinct, so the edges sort as their pairs do.
+    genetic = sorted(best.values())
+    mutations = graph.mutations
+    for edge in genetic:
+        if edge.mutation not in mutations:
             graph.add_node(edge.mutation)
-        graph.add_edge(edge)
+    graph.add_edges(genetic)
 
     gda_best: dict[tuple[str, str], Fraction] = {}
     for row in gda_rows:
@@ -392,6 +386,7 @@ def build_graph(
             gda_best[key] = max(gda_best[key], row.gda_score)
         else:
             gda_best[key] = row.gda_score
+    associations = []
     for (disease, gene), score in sorted(gda_best.items()):
         if disease not in graph.diseases:
             graph.add_node(DiseaseNode(disease))
@@ -399,10 +394,11 @@ def build_graph(
         if not matches:
             note("info", f"gda row {gene}/{disease}: no mutation node on gene {gene}")
             continue
-        for mutation in sorted(matches):
-            graph.add_edge(GdaAssociation(disease, mutation, score))
+        associations += [GdaAssociation(disease, mutation, score) for mutation in sorted(matches)]
+    graph.add_edges(associations)
 
     drug_specs: dict[str, DrugTargetTableRow] = {}
+    targets = []
     drug_genes: dict[str, list[str]] = {}
     for row in drug_rows:
         if row.drug_id in drug_specs:
@@ -434,10 +430,11 @@ def build_graph(
             if not matches:
                 note("info", f"drug row {drug_id}/{gene}: no mutation node on gene {gene}")
             targeted |= matches
-        for mutation in sorted(targeted):
-            graph.add_edge(TargetEdge(mutation, drug_id))
+        targets += [TargetEdge(mutation, drug_id) for mutation in sorted(targeted)]
+    graph.add_edges(targets)
 
     if treatment_rows:
+        treatments = []
         for edge in sorted(treatment_rows, key=lambda e: (e.patient_id, e.order, e.drug_id)):
             if edge.patient_id not in graph.patients:
                 note("warning", f"treatment row for unknown sample {edge.patient_id}")
@@ -445,7 +442,8 @@ def build_graph(
             if edge.drug_id not in graph.drugs:
                 note("warning", f"treatment row for unknown drug {edge.drug_id}")
                 continue
-            graph.add_edge(edge)
+            treatments.append(edge)
+        graph.add_edges(treatments)
 
     if orphans:
         note("warning", f"{orphans} orphan mutation row(s) excluded")

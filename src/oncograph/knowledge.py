@@ -10,8 +10,8 @@ four consistency statuses.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import errors
 from .cohort import profiles_from_graph
@@ -32,18 +32,17 @@ class ConsistencyStatus(enum.Enum):
     COMBINATION = "combination"
 
 
-class DiseaseEvidence(NamedTuple):
-    patients: frozenset[str]
-    union_mutations: frozenset
-    common_mutations: frozenset
-    known_mutations: frozenset
-
-
-class ConsistencyVerdict(NamedTuple):
-    status: ConsistencyStatus
-    missing_from_knowledge: frozenset  # in common evidence but not known
-    unsupported_knowledge: frozenset   # known but not common in evidence
-    coverage_violations: frozenset     # known but absent even from the union
+# Frozensets: the disease's patients, and the union and intersection of their
+# profiles and the known set, at the check's granularity.
+DiseaseEvidence = namedtuple(
+    "DiseaseEvidence", "patients union_mutations common_mutations known_mutations"
+)
+# The status and three frozensets: items in the common evidence but not known,
+# known but not common, and known but absent even from the union.
+ConsistencyVerdict = namedtuple(
+    "ConsistencyVerdict",
+    "status missing_from_knowledge unsupported_knowledge coverage_violations",
+)
 
 
 def known_mutations(
@@ -51,7 +50,7 @@ def known_mutations(
 ) -> set[MutationKey]:
     """Mutations associated with the disease at score >= threshold; the
     scores are exact Fractions, so an exact threshold is compared exactly."""
-    if not 0.0 <= gda_threshold <= 1.0:
+    if not 0 <= gda_threshold <= 1:
         raise errors.InvalidLabel(f"gda_threshold {gda_threshold} outside [0, 1]")
     return {
         m for m, s in graph.gda_scores(disease_id).items() if s >= gda_threshold

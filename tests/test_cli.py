@@ -257,6 +257,30 @@ class TestConfigFile:
         assert "cannot read config" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("cohort", {"t_long": [1]}),
+            ("freq", {"top_n": 2.5}),
+            ("check", {"granularity": "bogus"}),
+            ("build", {"out": 5}),
+            ("cohort", {"k": [1]}),
+        ],
+    )
+    def test_bad_config_value_is_io_error(self, tmp_path, monkeypatch, command, setting, capsys):
+        # argparse converts only a string default and checks no default
+        # against its choices, so each value is read as its option's text is.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        monkeypatch.chdir(tmp_path)
+        assert run([command] + fixture_args(tmp_path)[:-2]) == 2  # no --out
+        [key] = setting
+        assert capsys.readouterr().err == (
+            f"cannot read config {config}: bad {key} value {setting[key]!r}\n"
+        )
+
+
 class TestParseBoundary:
     @pytest.mark.parametrize("table", ["mutations", "clinical", "gda", "drugs"])
     def test_non_utf8_input_is_io_error_with_line(self, tmp_path, table, capsys):

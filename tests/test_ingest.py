@@ -8,9 +8,11 @@ import pytest
 
 from oncograph import (
     DiagnosisEdge,
+    Effectiveness,
     GeneticEdge,
     MutationKey,
     PatientRecord,
+    TreatmentEdge,
     errors,
     ingest,
     validate,
@@ -336,3 +338,75 @@ class TestEncoding:
             ingest.parse_mutation_table(path)
         assert str(exc.value).startswith(f"{path}:1502: not valid UTF-8")
         assert ingest.undecodable_line(path) == 1502
+
+
+KRAS_1 = MutationKey("KRAS", "12", 1, 1)
+DRUG_HEADER = "drug\tgene\tweight\tadverse_effects\n"
+
+
+class TestTableLayout:
+    """How every parser reads the layout of its table: optional columns and
+    short rows, blank cells, line endings, comments and header order."""
+
+    @pytest.mark.parametrize(
+        "parse, text, rows, issues",
+        [
+            # An absent optional column, and a short row, read as not given.
+            (ingest.parse_mutation_table, MUTATION_HEADER + "P1\tKRAS\t12\t1\t1\n",
+             [GeneticEdge("P1", KRAS_1, None)], []),
+            (ingest.parse_mutation_table,
+             MUTATION_HEADER.replace("\n", "\tvaf\n")
+             + "P1\tKRAS\t12\t1\t1\nP2\tKRAS\t12\t1\t1\t0.5\n",
+             [GeneticEdge("P1", KRAS_1, None), GeneticEdge("P2", KRAS_1, 0.5)], []),
+            (ingest.parse_drug_target_table, "drug\tgene\tadverse_effects\nd1\tKRAS\trash\n",
+             [ingest.DrugTargetTableRow("d1", "KRAS", None, "rash")], []),
+            (ingest.parse_drug_target_table,
+             DRUG_HEADER + "d1\tKRAS\nd2\tKRAS\t2\nd3\tKRAS\t\trash\n",
+             [ingest.DrugTargetTableRow("d1", "KRAS", None, None),
+              ingest.DrugTargetTableRow("d2", "KRAS", Fraction(2), None),
+              ingest.DrugTargetTableRow("d3", "KRAS", None, "rash")], []),
+            # A required cell of blanks is missing, and so is one past a short row.
+            (ingest.parse_mutation_table, MUTATION_HEADER + "P1\t \t12\t1\t1\nP1\tKRAS\t12\n",
+             [], [(2, "missing required field(s): gene"),
+                  (3, "missing required field(s): start, end")]),
+            # The missing field wins over a comma in an id.
+            (ingest.parse_mutation_table, MUTATION_HEADER + "P1,P2\t\t12\t1\t1\n",
+             [], [(2, "missing required field(s): gene")]),
+            # CRLF endings, indented comments and blank lines; lines keep their numbers.
+            (ingest.parse_clinical_table,
+             "  # export\r\n" + CLINICAL_HEADER.replace("\n", "\r\n")
+             + "\t# note\r\n\r\nP1\tLUAD\t12.5\tLIVING\r\n  \r\nP2\tLUAD\tx\tdead\r\n",
+             [(PatientRecord("P1", 12, True), DiagnosisEdge("LUAD", "P1"))],
+             [(7, "non-numeric os_months 'x'")]),
+            (ingest.parse_treatment_table,
+             TREATMENT_HEADER.replace("\n", "\r\n") + "P1\td1\t0\tp\r\n",
+             [TreatmentEdge("P1", "d1", 0, Effectiveness.POSITIVE)], []),
+            # Columns are found by name: reordered, with extra ones between.
+            (ingest.parse_clinical_table,
+             "extra\tos_status\tsample_id\tos_months\tnote\tcancer_type\n"
+             "x\tDECEASED\tP2\t3\ty\t BRCA \n",
+             [(PatientRecord("P2", 3, False), DiagnosisEdge("BRCA", "P2"))], []),
+            (ingest.parse_gda_table, "gda_score\tsource\tdisease\tgene\n0.5\tdb\tLUAD\tKRAS\n",
+             [ingest.GdaTableRow("KRAS", "LUAD", Fraction(1, 2))], []),
+        ],
+        ids=[
+            "no-vaf-column", "short-row-no-vaf", "no-weight-column", "short-drug-rows",
+            "blank-required-cell", "missing-beats-comma", "crlf-and-comments", "crlf-treatment",
+            "reordered-clinical", "reordered-gda",
+        ],
+    )
+    def test_layout(self, parse, text, rows, issues):
+        res = parse(io.StringIO(text))
+        assert res.rows == rows
+        assert [(e.line, e.message) for e in res.issues] == issues
+        assert res.data_lines == len(rows) + len(issues)
+
+    def test_spellings_of_one_locus_share_one_key(self):
+        res = ingest.parse_mutation_table(io.StringIO(
+            MUTATION_HEADER
+            + "P1\tKRAS\t12\t012\t12\nP2\tKRAS\t12\t12\t0012\nP3\tKRAS\t12\t12\t12\n"
+        ))
+        assert res.issues == []
+        first, *others = (edge.mutation for edge in res.rows)
+        assert first == MutationKey("KRAS", "12", 12, 12)
+        assert all(other is first for other in others)

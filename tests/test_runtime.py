@@ -1,11 +1,14 @@
 """The runtime needs only the standard library, and a CLI call imports only
 what its command runs."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+
+from oncograph import cli
 
 from conftest import FIXTURES, GOLDEN, REPO
 
@@ -41,9 +44,10 @@ finally:
         out.write("\\n".join(sorted(sys.modules)))
 """
 
-# Modules that no call may load: the records are named tuples, paths are
-# strings, and json is read only for a config file.
-NEVER_LOADED = {"dataclasses", "inspect", "pathlib", "json"}
+# Modules that no call may load: the records are collections.namedtuple
+# classes, paths are strings, json is read only for a config file, and the
+# help formatter is given the terminal width that shutil would read.
+NEVER_LOADED = {"dataclasses", "inspect", "pathlib", "json", "typing", "shutil"}
 
 BASE = {"oncograph", "oncograph.errors", "oncograph.graph", "oncograph.ingest"}
 TREAT_TARGETS = "KRAS_12_25398284_25398284,EGFR_7_55259515_55259515"
@@ -128,3 +132,22 @@ def test_submodules_load_on_first_use():
         "Partition", "EdgeColor", "Effectiveness", "validate",
         "cohort", "errors", "hitting_set", "ingest", "knowledge",
     ]
+
+
+@pytest.mark.parametrize("columns", [None, "40", "60", "120"])
+def test_help_matches_the_stock_formatter(monkeypatch, columns):
+    # The parser's formatter takes its width from COLUMNS or the terminal, as
+    # argparse's HelpFormatter does through shutil, so every help and usage
+    # text is the one argparse would give by itself.
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    parser = cli.build_arg_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["build", "check", "coexist", "cohort", "freq", "treat"]
+    for p in [parser, *sub.choices.values()]:
+        texts = (p.format_help(), p.format_usage())
+        p.formatter_class = argparse.HelpFormatter
+        assert texts == (p.format_help(), p.format_usage()), p.prog
