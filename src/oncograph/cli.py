@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from functools import partial
 
 # Each call is a new interpreter, so cohort, knowledge, hitting_set and json
@@ -34,14 +33,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def exact_number(text: str) -> Fraction:
-    """A threshold read exactly from its decimal text, never through a float."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(text) from None
 
 
 def _config_defaults() -> dict:
@@ -317,15 +308,14 @@ def cmd_freq(args) -> int:
 
 
 def cmd_coexist(args) -> int:
+    if not 0 < args.k <= 100:
+        print(f"--k {args.k} must be in (0, 100]", file=sys.stderr)
+        return EXIT_USAGE
     from . import cohort as co
     g, _ = _load(args)
     out = _outdir(args)
     profiles = co.profiles_from_graph(g, gene_level=args.granularity == "gene")
-    try:
-        sets = co.coexisting_mutation_sets(profiles, args.k)
-    except errors.InvalidPercent as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    sets = co.coexisting_mutation_sets(profiles, args.k)
     _write_tsv(
         os.path.join(out, "coexisting_sets.tsv"),
         ["mutations", "support_percent", "n_patients", "patients"],
@@ -380,12 +370,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add("build", cmd_build, "build the graph and report violations")
 
     p = add("check", cmd_check, "knowledge-vs-evidence consistency per disease")
-    _configure(p.add_argument("--gda-threshold", type=exact_number), cfg)
+    _configure(p.add_argument("--gda-threshold", type=ingest.exact_number), cfg)
     _configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="gene"), cfg)
 
     p = add("cohort", cmd_cohort, "survival bands and profile-similarity groups")
     p.add_argument("--metric", choices=["hamming", "jaccard"], default="hamming")
-    _configure(p.add_argument("--k", type=exact_number, default="0"), cfg)
+    _configure(p.add_argument("--k", type=ingest.exact_number, default="0"), cfg)
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
     _configure(p.add_argument("--t-long", type=int, default=36), cfg)
@@ -400,7 +390,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _configure(p.add_argument("--t-short", type=int, default=6), cfg)
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
-    p.add_argument("--k", type=exact_number, required=True, help="support percentage")
+    p.add_argument("--k", type=ingest.exact_number, required=True, help="support percentage")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
 
     p = add("treat", cmd_treat, "optimal drug treatment for target mutations")

@@ -1,5 +1,6 @@
-"""Patient-cohort analytics: profile distances, grouping, survival bands,
-maximal coexisting-mutation sets, and the frequency/co-mutation tables.
+"""Patient-cohort analytics: grouping by Hamming or Jaccard profile distance,
+survival bands, maximal coexisting-mutation sets, and the frequency and
+co-mutation tables.
 
 All of them read one profile layer: ``profiles_from_graph`` turns each
 patient's green edges into a ``MutationProfile``, a frozenset of items that
@@ -66,19 +67,6 @@ def profiles_from_graph(
         items = frozenset(m.gene for m in muts) if gene_level else frozenset(muts)
         out.append(MutationProfile(pid, items))
     return out
-
-
-def hamming_distance(a: MutationProfile, b: MutationProfile) -> int:
-    """Number of mutations affecting exactly one of the two patients."""
-    return len(a.mutations ^ b.mutations)
-
-
-def jaccard_distance(a: MutationProfile, b: MutationProfile) -> Fraction:
-    """Symmetric difference over union; two empty profiles are at distance 0."""
-    union = a.mutations | b.mutations
-    if not union:
-        return Fraction(0)
-    return Fraction(len(a.mutations ^ b.mutations), len(union))
 
 
 def _overlap_rule(metric: str, k: Fraction) -> tuple[int, int, int]:
@@ -211,22 +199,35 @@ def group_by_threshold(
 
 
 def _maximal_cliques(adj: dict[int, set[int]]):
-    """Bron-Kerbosch with pivoting over the threshold graph."""
+    """Bron-Kerbosch with pivoting over the threshold graph.
+
+    The search runs on an explicit stack, so a clique may be larger than the
+    recursion limit. A frame holds a clique r, its candidates p, its
+    excluded vertices x and the branch vertices not yet tried, the members
+    of p that the pivot does not reach, in ascending order from the end.
+    """
     cliques: list[set[int]] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
+    def frame(r: set[int], p: set[int], x: set[int]):
         if not p and not x:
-            cliques.append(set(r))
-            return
+            cliques.append(r)
+            return None
         pivot = max(p | x, key=lambda v: len(adj[v]))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            # p and x are this call's own sets: move v across in place.
-            p.remove(v)
-            x.add(v)
+        return r, p, x, sorted(p - adj[pivot], reverse=True)
 
-    if adj:  # no patients make no group, not one empty one
-        expand(set(), set(adj), set())
+    stack = [frame(set(), set(adj), set())] if adj else []  # no patients, no group
+    while stack:
+        r, p, x, branches = stack[-1]
+        if not branches:
+            stack.pop()
+            continue
+        v = branches.pop()
+        child = frame(r | {v}, p & adj[v], x & adj[v])
+        # p and x are this frame's own sets: move v across in place.
+        p.remove(v)
+        x.add(v)
+        if child:
+            stack.append(child)
     return cliques
 
 

@@ -60,10 +60,6 @@ class Untargetable(OncographError):
         super().__init__(f"untargetable mutation {mutation}")
 
 
-class UniverseTooLarge(OncographError):
-    pass
-
-
 class MissingColumn(OncographError):
     pass
 

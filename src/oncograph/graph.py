@@ -9,16 +9,16 @@ One table declares each edge type: its color, its two endpoint partitions
 in order, how its endpoint keys and label are read, the range rule of its
 label, and whether a pair may repeat; another gives each node type's
 partition and key. So an edge's type fixes which partitions it joins, and
-no edge can join two nodes of one partition. ``add_node``, ``add_edges``,
-``has_node``, ``neighbors`` and ``validate`` read these tables. Each
-color's record list holds the typed edges themselves, and those records are
-the source of truth; ``validate`` reads only them, so it also catches
-records that bypassed ``add_edges``.
+no edge can join two nodes of one partition. ``add_node``, ``add_edges``
+and ``validate`` read these tables. Each color's record list holds the
+typed edges themselves, and those records are the source of truth;
+``validate`` reads only them, so it also catches records that bypassed
+``add_edges``.
 Each edge type also fills an index of its own, of one shape, first key ->
 {second key: label}, where the label is the VAF, the GDA score or None:
 patient -> mutations, disease -> patients, disease -> mutations, mutation
 -> drugs and patient -> drugs. Duplicate checks and queries are lookups in
-these indexes.
+these indexes; no query reads the patient -> drugs one yet.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -87,10 +87,6 @@ GdaAssociation = namedtuple("GdaAssociation", "disease_id mutation gda_score")
 TargetEdge = namedtuple("TargetEdge", "mutation drug_id")
 
 Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
-
-# A node reference is (partition, key); keys are patient/disease/drug id
-# strings or MutationKey instances.
-NodeRef = tuple[Partition, object]
 
 Violation = namedtuple("Violation", "category message")
 
@@ -174,9 +170,9 @@ class KnowledgeGraph:
         self._by_display: dict[str, MutationKey] = {}
         self._records: dict[EdgeColor, list[Edge]] = {c: [] for c in EdgeColor}
         # One index per edge type, first key -> {second key: label}, filled
-        # by add_edge alongside the records.
+        # by add_edges alongside the records.
         self._index: dict[type, dict[object, dict]] = {t: {} for t in _EDGE_KINDS}
-        # Per edge type, all that add_edge touches: its kind, both endpoint
+        # Per edge type, all that add_edges touches: its kind, both endpoint
         # tables, its index and its color's records, so that no edge hashes
         # a Partition or EdgeColor.
         self._by_type = {
@@ -188,7 +184,7 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Nodes
 
-    def add_node(self, node) -> NodeRef:
+    def add_node(self, node) -> None:
         """Insert a node into its partition; raises DuplicateNode on id reuse
         and InvalidLabel when the node breaks a rule of its partition."""
         try:
@@ -206,7 +202,6 @@ class KnowledgeGraph:
         if part is Partition.MUTATION:
             self._by_gene.setdefault(node.gene, set()).add(node)
             self._by_display.setdefault(node.display(), node)
-        return (part, key)
 
     def patient(self, patient_id: str) -> PatientRecord:
         try:
@@ -263,11 +258,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Edges
 
-    def add_edge(self, edge: Edge) -> Edge:
-        """Insert one typed edge; see ``add_edges``."""
-        self.add_edges((edge,))
-        return edge
-
     def add_edges(self, edges: Iterable[Edge]) -> None:
         """Insert typed edges in order, each into its colored set.
 
@@ -313,32 +303,6 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Queries
 
-    def has_node(self, ref: NodeRef) -> bool:
-        part, key = ref
-        return key in self._nodes.get(part, ())
-
-    def neighbors(
-        self, ref: NodeRef, colors: EdgeColor | tuple[EdgeColor, ...] | None = None
-    ) -> set[NodeRef]:
-        """Nodes adjacent to ``ref`` via edges of the requested color(s)."""
-        if not self.has_node(ref):
-            raise errors.UnknownNode(str(ref))
-        if colors is None:
-            colors = tuple(EdgeColor)
-        elif isinstance(colors, EdgeColor):
-            colors = (colors,)
-        part, key = ref
-        out: set[NodeRef] = set()
-        for edge_type, kind in _EDGE_KINDS.items():
-            if kind.color not in colors:
-                continue
-            index = self._index[edge_type]
-            if part is kind.first:
-                out.update((kind.second, k) for k in index.get(key, ()))
-            elif part is kind.second:  # reverse direction: scan the index
-                out.update((kind.first, k) for k, adj in index.items() if key in adj)
-        return out
-
     def mutations_of_patient(self, patient_id: str) -> set[MutationKey]:
         self.patient(patient_id)
         return set(self._index[GeneticEdge].get(patient_id, ()))
@@ -348,12 +312,12 @@ class KnowledgeGraph:
         return set(self._index[DiagnosisEdge].get(disease_id, ()))
 
     def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
-        """Magenta disease-mutation neighbors of d with their scores."""
+        """The mutations of a disease's magenta edges, with their GDA scores."""
         self.disease(disease_id)
         return dict(self._index[GdaAssociation].get(disease_id, {}))
 
     def target_drugs(self, mutation: MutationKey) -> set[str]:
-        """Drugs with a known effect on the mutation (magenta neighbors)."""
+        """Drugs with a known effect on the mutation (its magenta drug edges)."""
         if mutation not in self._mutations:
             raise errors.UnknownMutation(mutation.display())
         return set(self._index[TargetEdge].get(mutation, ()))

@@ -28,8 +28,6 @@ from fractions import Fraction
 from . import errors
 from .graph import KnowledgeGraph, MutationKey
 
-ORACLE_UNIVERSE_LIMIT = 20
-
 
 class HittingSetInstance:
     """Target sets over a universe of drugs, checked when the instance is made."""
@@ -174,33 +172,3 @@ def solve_min_cardinality(instance: HittingSetInstance) -> TreatmentSolution:
     instance's real drug weights even though the objective ignores them."""
     unit = dict.fromkeys(instance.universe, 1)
     return _assemble(instance, _branch_and_bound(instance, unit))
-
-
-def oracle_solve(
-    instance: HittingSetInstance, objective: str = "weight"
-) -> TreatmentSolution:
-    """Exhaustive reference solver over all 2^|U| subsets (|U| <= 20)."""
-    n = len(instance.universe)
-    if n > ORACLE_UNIVERSE_LIMIT:
-        raise errors.UniverseTooLarge(f"universe size {n} > {ORACLE_UNIVERSE_LIMIT}")
-    if objective == "weight":
-        weights = instance.weights
-    elif objective == "cardinality":
-        weights = dict.fromkeys(instance.universe, 1)
-    else:
-        raise ValueError(f"unknown objective '{objective}'")
-    # Integer weights scaled by the LCM of the denominators: exact, and far
-    # cheaper to sum per subset than Fractions.
-    scale = math.lcm(*(weights[d].denominator for d in instance.universe))
-    cost = [int(weights[d] * scale) for d in instance.universe]
-    masks = [sum(1 << instance.universe.index(d) for d in s) for s in instance.family]
-    best = (sum(cost) + 1, 0, ())  # (weight, size, drug tuple), worse than any cover
-    for mask in range(1 << n):
-        if any(mask & m == 0 for m in masks):
-            continue
-        total = sum(c for i, c in enumerate(cost) if mask >> i & 1)
-        if total <= best[0]:
-            drugs = tuple(d for i, d in enumerate(instance.universe) if mask >> i & 1)
-            best = min(best, (total, len(drugs), drugs))
-    return _assemble(instance, frozenset(best[2]))
-

@@ -75,8 +75,9 @@ TREATMENT_COLUMNS = (
 
 _VAF_SENTINELS = {"", "na", "nan", "n/a", "unknown", "."}
 
-# The most decimal places a gda_score may have (1e-400 has 400).
-_MAX_SCORE_PLACES = 1000
+# The most decimal places, and the most digits before the point, that an
+# exact number may have (1e-400 has 400 places, 1e999 has 1000 digits).
+_MAX_DIGITS = 1000
 
 # Identifier columns are comma-joined in outputs and in ``treat --targets``,
 # so a comma inside one is rejected. Free-text columns (diseases, adverse
@@ -192,6 +193,37 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     return result
 
 
+def exact_number(text: str, what: str = "number") -> Fraction:
+    """The exact value of a decimal text, or of ``a/b``, never through a float.
+
+    The integers of the value grow with the exponent of its text, so the
+    exponent is bounded before the Fraction is built: at most 1,000
+    (``_MAX_DIGITS``) decimal places and as many digits before the point,
+    where each of ``a`` and ``b`` counts as digits before the point. Raises
+    ValueError, naming ``what``, for text out of these bounds or that
+    Fraction does not read.
+    """
+    num, slash, den = text.partition("/")
+    if slash:
+        places, before = 0, max(len(num.strip().lstrip("+-")), len(den.strip()))
+    else:
+        try:
+            _, digits, exponent = decimal.Decimal(text).as_tuple()
+        except decimal.InvalidOperation:
+            raise ValueError(f"non-numeric {what} '{text}'") from None
+        if not isinstance(exponent, int):  # NaN or infinity: Fraction says no
+            exponent, digits = 0, ()
+        places, before = -exponent, len(digits) + exponent
+    if places > _MAX_DIGITS:
+        raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} decimal places")
+    if before > _MAX_DIGITS:
+        raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} digits before the point")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"non-numeric {what} '{text}'") from None
+
+
 def _unit_interval(column: str, text: str) -> float:
     """The float of a cell whose exact decimal value must lie in [0, 1].
 
@@ -275,12 +307,7 @@ def parse_clinical_table(source) -> ParseResult:
 def parse_gda_table(source) -> ParseResult:
     def row_fn(gene, disease, text):
         _unit_interval("gda_score", text)
-        # The score is the exact value of the decimal text, whose integer
-        # ratio grows with its exponent, so the exponent is bounded first.
-        exact = decimal.Decimal(text)
-        if exact.as_tuple().exponent < -_MAX_SCORE_PLACES:
-            raise ValueError(f"gda_score {text} has more than {_MAX_SCORE_PLACES} decimal places")
-        return GdaTableRow(gene, disease, Fraction(exact))
+        return GdaTableRow(gene, disease, exact_number(text, "gda_score"))
 
     return _parse_table(source, GDA_COLUMNS, row_fn)
 
@@ -289,10 +316,7 @@ def parse_drug_target_table(source) -> ParseResult:
     def row_fn(drug_id, gene, wtext, adverse_effects):
         weight = None
         if wtext:
-            try:
-                weight = Fraction(wtext)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"non-numeric weight '{wtext}'") from None
+            weight = exact_number(wtext, "weight")
             if weight < 0:
                 raise ValueError(f"negative weight {wtext}")
         return DrugTargetTableRow(drug_id, gene, weight, adverse_effects or None)

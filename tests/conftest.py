@@ -70,12 +70,12 @@ def random_graph(rng: random.Random, max_nodes: int = 50) -> KnowledgeGraph:
         g.add_node(DrugNode(d))
     for pid in patients:
         for m in rng.sample(mutations, rng.randint(0, n_mut)):
-            g.add_edge(GeneticEdge(pid, m, round(rng.random(), 3)))
-        g.add_edge(DiagnosisEdge(rng.choice(diseases), pid))
+            g.add_edges([GeneticEdge(pid, m, round(rng.random(), 3))])
+        g.add_edges([DiagnosisEdge(rng.choice(diseases), pid)])
     for d in diseases:
         for m in rng.sample(mutations, rng.randint(0, n_mut)):
-            g.add_edge(GdaAssociation(d, m, round(rng.random(), 3)))
+            g.add_edges([GdaAssociation(d, m, round(rng.random(), 3))])
     for m in mutations:
         for dr in rng.sample(drugs, rng.randint(0, n_drug)):
-            g.add_edge(TargetEdge(m, dr))
+            g.add_edges([TargetEdge(m, dr)])
     return g

@@ -35,6 +35,7 @@ from oncograph.graph import (
 )
 
 from conftest import FIXTURES, GOLDEN, make_mutation, random_graph
+from oracles import hamming_distance, jaccard_distance, oracle_solve
 from test_cohort import brute_force_coexist, prof
 from test_hitting_set import random_instance
 from test_knowledge import brute_force_sets
@@ -52,11 +53,11 @@ def test_hitting_set_oracle_equivalence():
         inst = random_instance(rng, max_universe=12, max_family=8, weighted=True)
         assert (
             hs.solve_min_weight(inst).total_weight
-            == hs.oracle_solve(inst, "weight").total_weight
+            == oracle_solve(inst, "weight").total_weight
         )
         unit = hs.make_instance(inst.family)
         assert len(hs.solve_min_cardinality(unit).drugs) == len(
-            hs.oracle_solve(unit, "cardinality").drugs
+            oracle_solve(unit, "cardinality").drugs
         )
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"hitting-set acceptance took {elapsed:.1f}s"
@@ -96,12 +97,12 @@ def test_metric_axioms():
             prof(f"P{j}", *rng.sample(universe, rng.randint(0, 8)))
             for j in range(3)
         )
-        for dist in (cohort.hamming_distance, cohort.jaccard_distance):
+        for dist in (hamming_distance, jaccard_distance):
             assert dist(a, b) == dist(b, a)
             assert dist(a, b) >= 0
             assert (dist(a, b) == 0) == (a.mutations == b.mutations)
             assert dist(a, c) <= dist(a, b) + dist(b, c)
-        assert 0 <= cohort.jaccard_distance(a, b) <= 1
+        assert 0 <= jaccard_distance(a, b) <= 1
     ok("metric axioms (1000 random triples)")
 
 
@@ -151,7 +152,7 @@ def test_graph_invariants():
         g.add_node(PatientRecord("P2", 20, False))
         m = make_mutation("KRAS", 1)
         g.add_node(m)
-        g.add_edge(GeneticEdge("P1", m, 0.5))
+        g.add_edges([GeneticEdge("P1", m, 0.5)])
         return g, m
 
     # 1. partition violation: a disease-patient edge filed as green

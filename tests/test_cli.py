@@ -113,6 +113,18 @@ class TestTreat:
         assert run(["treat"] + args) == 0
         assert "drugs=2 total_weight=4" in capsys.readouterr().out
 
+    def test_weight_with_too_many_places_is_a_malformed_row(self, tmp_path, capsys):
+        # Chosen, this weight would be printed, past the int-to-str limit.
+        drugs = tmp_path / "drugs.tsv"
+        drugs.write_text((FIXTURES / "drugs.tsv").read_text() + "tiny\tKRAS\t1e-3000000\n")
+        args = fixture_args(tmp_path, drugs=drugs)
+        targets = ["--patient", "P1", "--targets", "KRAS_12_25398284_25398284", "--weighted"]
+        assert run(["treat"] + args + targets) == 0
+        assert "total_weight=3" in capsys.readouterr().out
+        assert run(["build"] + args) == 0
+        report = (tmp_path / "build_report.tsv").read_text().splitlines()
+        assert f"{drugs}\t8\terror\tweight 1e-3000000 has more than 1000 decimal places" in report
+
     def test_unknown_patient_is_3(self, tmp_path, capsys):
         args = fixture_args(tmp_path) + [
             "--patient", "NOPE", "--targets", "KRAS_12_25398284_25398284",
@@ -175,6 +187,16 @@ class TestExactThresholds:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv", [["check", "--gda-threshold=1e5000"], ["coexist", "--k=1e5000"],
+                 ["cohort", "--k=1e-5000"]]
+    )
+    def test_threshold_with_too_many_digits_is_usage_error(self, tmp_path, argv, capsys):
+        out = tmp_path / "out"
+        assert run(argv + fixture_args(out)) == 64
+        assert "invalid exact_number value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["cohort", "--t-long", "6", "--t-short", "36"], "t_short 36 must be < t_long 6"),
@@ -182,6 +204,8 @@ class TestExactThresholds:
             (["freq", "--band", "long", "--t-long", "6", "--t-short", "36"],
              "t_short 36 must be < t_long 6"),
             (["freq", "--top-n", "-1"], "--top-n -1 must be >= 0"),
+            (["coexist", "--k", "0"], "--k 0 must be in (0, 100]"),
+            (["coexist", "--k", "101"], "--k 101 must be in (0, 100]"),
         ],
     )
     def test_bad_bands_and_top_n_are_usage_errors_before_any_input(

@@ -23,12 +23,11 @@ from oncograph.cohort import (
     format_percent,
     frequency_table,
     group_by_threshold,
-    hamming_distance,
-    jaccard_distance,
     survival_partition,
 )
 
 from conftest import make_mutation, random_graph
+from oracles import hamming_distance, jaccard_distance
 
 
 def prof(pid, *items):
@@ -131,6 +130,13 @@ class TestGrouping:
             flat = [pid for g in groups for pid in g]
             assert sorted(flat) == sorted(p.patient_id for p in ps)
             assert len(flat) == len(set(flat))
+
+
+def test_a_clique_larger_than_the_recursion_limit():
+    # Every pair is at Hamming distance 2, so the threshold graph is complete.
+    ps = [prof(f"P{i:04d}", f"m{i}") for i in range(1200)]
+    groups = group_by_threshold(ps, "hamming", 2, strategy="cliques")
+    assert groups == [[p.patient_id for p in ps]]
 
 
 def oracle_groups(profiles, metric, k, strategy):
@@ -366,7 +372,7 @@ class TestCoMutationSurvival:
                 if key not in muts:
                     muts[key] = make_mutation(gene, locus)
                     g.add_node(muts[key])
-                g.add_edge(GeneticEdge(pid, muts[key], 0.5))
+                g.add_edges([GeneticEdge(pid, muts[key], 0.5)])
         return g
 
     def test_disjoint_carriers_empty_population(self):

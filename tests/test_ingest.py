@@ -186,6 +186,24 @@ class TestOtherParsers:
         g, _ = ingest.build_graph([], [], [], res.rows)
         assert g.drug("sotorasib").toxicity_weight == Fraction(1)
 
+    def test_drug_weight_is_bounded_before_it_is_built(self):
+        # Fraction("1e-3000000") takes about a second, and printing it
+        # breaks the int-to-str limit; 1e1000 has 1001 digits.
+        start = time.perf_counter()
+        res = ingest.parse_drug_target_table(io.StringIO(
+            DRUG_HEADER + "d1\tKRAS\t1e-3000000\nd2\tKRAS\t1e1000\nd3\tKRAS\t1/3\n"
+            "d4\tKRAS\t1e-1000\nd5\tKRAS\t1e999\nd6\tKRAS\tabc\n"
+        ))
+        assert time.perf_counter() - start < 0.1
+        assert [r.toxicity_weight for r in res.rows] == [
+            Fraction(1, 3), Fraction(1, 10**1000), Fraction(10**999)
+        ]
+        assert [(e.line, e.message) for e in res.issues] == [
+            (2, "weight 1e-3000000 has more than 1000 decimal places"),
+            (3, "weight 1e1000 has more than 1000 digits before the point"),
+            (7, "non-numeric weight 'abc'"),
+        ]
+
     def test_treatment_effectiveness_codes(self):
         res = ingest.parse_treatment_table(
             io.StringIO(

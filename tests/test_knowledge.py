@@ -30,12 +30,12 @@ def graph_with(profiles, known=(), disease="D1", scores=None):
         g.add_node(m)
     for pid, muts in profiles.items():
         g.add_node(PatientRecord(pid, 10, True))
-        g.add_edge(DiagnosisEdge(disease, pid))
+        g.add_edges([DiagnosisEdge(disease, pid)])
         for m in muts:
-            g.add_edge(GeneticEdge(pid, m, 0.5))
+            g.add_edges([GeneticEdge(pid, m, 0.5)])
     for m in known:
         score = (scores or {}).get(m, 1.0)
-        g.add_edge(GdaAssociation(disease, m, score))
+        g.add_edges([GdaAssociation(disease, m, score)])
     return g
 
 
@@ -58,7 +58,7 @@ class TestSetOperations:
         g = graph_with({"P1": [M1], "P2": [M2]})
         g.add_node(DiseaseNode("D2"))
         g.add_node(PatientRecord("P3", 5, False))
-        g.add_edge(DiagnosisEdge("D2", "P3"))
+        g.add_edges([DiagnosisEdge("D2", "P3")])
         assert g.patients_of_disease("D1") == {"P1", "P2"}
 
     def test_union_intersection_fixture(self):
