@@ -41,7 +41,7 @@ def _config_defaults() -> dict:
         return {}
     import json
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("not a JSON object")
@@ -69,12 +69,21 @@ def _configure(action: argparse.Action, cfg: dict) -> None:
             raise ValueError
         if action.choices is not None and value not in action.choices:
             raise ValueError
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         path = os.environ[CONFIG_ENV]
         print(f"cannot read config {path}: bad {action.dest} value {cfg[action.dest]!r}",
               file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
     action.default = value
+
+
+def _exact(text: str):
+    """``ingest.exact_number`` as an argparse type: argparse prints the reason
+    of an ArgumentTypeError, where it drops that of a ValueError."""
+    try:
+        return ingest.exact_number(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_io_args(p: argparse.ArgumentParser, cfg: dict) -> None:
@@ -194,10 +203,7 @@ def cmd_check(args) -> int:
     rows = []
     for disease_id in sorted(g.diseases):
         evidence, verdict = knowledge.check_consistency(
-            g,
-            disease_id,
-            gda_threshold=threshold,
-            granularity=knowledge.Granularity(args.granularity),
+            g, disease_id, gda_threshold=threshold, gene_level=args.granularity == "gene"
         )
         status = "no_evidence" if not evidence.patients else verdict.status.value
         rows.append(
@@ -370,12 +376,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add("build", cmd_build, "build the graph and report violations")
 
     p = add("check", cmd_check, "knowledge-vs-evidence consistency per disease")
-    _configure(p.add_argument("--gda-threshold", type=ingest.exact_number), cfg)
+    _configure(p.add_argument("--gda-threshold", type=_exact), cfg)
     _configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="gene"), cfg)
 
     p = add("cohort", cmd_cohort, "survival bands and profile-similarity groups")
     p.add_argument("--metric", choices=["hamming", "jaccard"], default="hamming")
-    _configure(p.add_argument("--k", type=ingest.exact_number, default="0"), cfg)
+    _configure(p.add_argument("--k", type=_exact, default="0"), cfg)
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
     _configure(p.add_argument("--t-long", type=int, default=36), cfg)
@@ -390,7 +396,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _configure(p.add_argument("--t-short", type=int, default=6), cfg)
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
-    p.add_argument("--k", type=ingest.exact_number, required=True, help="support percentage")
+    p.add_argument("--k", type=_exact, required=True, help="support percentage")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
 
     p = add("treat", cmd_treat, "optimal drug treatment for target mutations")

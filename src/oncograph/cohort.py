@@ -5,8 +5,9 @@ co-mutation tables.
 All of them read one profile layer: ``profiles_from_graph`` turns each
 patient's green edges into a ``MutationProfile``, a frozenset of items that
 are MutationKeys, or gene symbols at gene level. It is the only code that
-builds per-patient item sets and the only place a mutation is downgraded to
-its gene; the knowledge check reads its cohort's profiles from it too.
+builds per-patient item sets; the knowledge check reads its cohort's
+profiles from it too. ``frequency_table``'s gene modes and the knowledge
+check's known set also downgrade a mutation to its gene.
 
 Grouping is a similarity join over integer bitmasks: identical profiles
 merge, sizes rule out most pairs, and the rest must share one of their

@@ -6,7 +6,7 @@ edge sets join them: green (patient-mutation, labeled with VAF), red
 (disease-mutation associations scored in [0,1] and mutation-drug targets).
 
 One table declares each edge type: its color, its two endpoint partitions
-in order, how its endpoint keys and label are read, the range rule of its
+in order, whose keys are the edge's first two fields, the range rule of its
 label, and whether a pair may repeat; another gives each node type's
 partition and key. So an edge's type fixes which partitions it joins, and
 no edge can join two nodes of one partition. ``add_node``, ``add_edges``
@@ -14,11 +14,12 @@ and ``validate`` read these tables. Each color's record list holds the
 typed edges themselves, and those records are the source of truth;
 ``validate`` reads only them, so it also catches records that bypassed
 ``add_edges``.
-Each edge type also fills an index of its own, of one shape, first key ->
-{second key: label}, where the label is the VAF, the GDA score or None:
-patient -> mutations, disease -> patients, disease -> mutations, mutation
--> drugs and patient -> drugs. Duplicate checks and queries are lookups in
-these indexes; no query reads the patient -> drugs one yet.
+Each edge type whose pairs may not repeat also has an index, first key ->
+{second key: the edge record}: patient -> mutations, disease -> patients,
+disease -> mutations and mutation -> drugs. Duplicate checks and queries
+are lookups in these indexes, and a query reads a label (VAF, GDA score)
+off the record. Treatments may repeat and no query reads them, so they are
+kept as records only.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -120,32 +121,28 @@ def _treatment_issue(e: TreatmentEdge) -> str | None:
     return None
 
 
-# How one edge type sits in the graph: its color and endpoint partitions;
-# read, edge -> (first key, second key, label); check, edge -> the label rule
-# it breaks or None (check is None for diagnoses and targets, which carry no
-# label); and duplicate, what a repeated pair reports (None: it may repeat).
-_EdgeKind = namedtuple("_EdgeKind", "color first second read check duplicate")
+# How one edge type sits in the graph: its color and endpoint partitions,
+# whose keys are its first two fields; check, edge -> the label rule it
+# breaks or None (check is None for diagnoses and targets, which carry no
+# label); and duplicate, what a repeated pair reports (None: it may repeat,
+# and the type has no index).
+_EdgeKind = namedtuple("_EdgeKind", "color first second check duplicate")
 
 _EDGE_KINDS = {
     GeneticEdge: _EdgeKind(
-        EdgeColor.GREEN, Partition.PATIENT, Partition.MUTATION,
-        lambda e: (e.patient_id, e.mutation, e.vaf), _vaf_issue, "genetic edge",
+        EdgeColor.GREEN, Partition.PATIENT, Partition.MUTATION, _vaf_issue, "genetic edge"
     ),
     DiagnosisEdge: _EdgeKind(
-        EdgeColor.RED, Partition.DISEASE, Partition.PATIENT,
-        lambda e: (e.disease_id, e.patient_id, None), None, "diagnosis",
+        EdgeColor.RED, Partition.DISEASE, Partition.PATIENT, None, "diagnosis"
     ),
     TreatmentEdge: _EdgeKind(
-        EdgeColor.RED, Partition.PATIENT, Partition.DRUG,
-        lambda e: (e.patient_id, e.drug_id, None), _treatment_issue, None,
+        EdgeColor.RED, Partition.PATIENT, Partition.DRUG, _treatment_issue, None
     ),
     GdaAssociation: _EdgeKind(
-        EdgeColor.MAGENTA, Partition.DISEASE, Partition.MUTATION,
-        lambda e: (e.disease_id, e.mutation, e.gda_score), _gda_issue, "gda",
+        EdgeColor.MAGENTA, Partition.DISEASE, Partition.MUTATION, _gda_issue, "gda"
     ),
     TargetEdge: _EdgeKind(
-        EdgeColor.MAGENTA, Partition.MUTATION, Partition.DRUG,
-        lambda e: (e.mutation, e.drug_id, None), None, "target",
+        EdgeColor.MAGENTA, Partition.MUTATION, Partition.DRUG, None, "target"
     ),
 }
 
@@ -169,16 +166,10 @@ class KnowledgeGraph:
         self._by_gene: dict[str, set[MutationKey]] = {}
         self._by_display: dict[str, MutationKey] = {}
         self._records: dict[EdgeColor, list[Edge]] = {c: [] for c in EdgeColor}
-        # One index per edge type, first key -> {second key: label}, filled
-        # by add_edges alongside the records.
-        self._index: dict[type, dict[object, dict]] = {t: {} for t in _EDGE_KINDS}
-        # Per edge type, all that add_edges touches: its kind, both endpoint
-        # tables, its index and its color's records, so that no edge hashes
-        # a Partition or EdgeColor.
-        self._by_type = {
-            t: (kind, self._nodes[kind.first], self._nodes[kind.second],
-                self._index[t], self._records[kind.color])
-            for t, kind in _EDGE_KINDS.items()
+        # One index per edge type whose pairs may not repeat, first key ->
+        # {second key: edge}, filled by add_edges alongside the records.
+        self._index: dict[type, dict[object, dict]] = {
+            t: {} for t, kind in _EDGE_KINDS.items() if kind.duplicate
         }
 
     # ------------------------------------------------------------------
@@ -241,7 +232,9 @@ class KnowledgeGraph:
         return set(self._by_gene.get(gene, ()))
 
     def mutation_by_display(self, text: str) -> MutationKey:
-        """The first-added mutation whose rendering is ``text``."""
+        """The first-added mutation whose rendering is ``text``: of two loci
+        that render alike (a ``_`` inside a gene or chromosome), the one whose
+        first accepted row comes first in ``build_graph``'s input."""
         try:
             return self._by_display[text]
         except KeyError:
@@ -273,24 +266,27 @@ class KnowledgeGraph:
             if type(edge) is not edge_type:
                 edge_type = type(edge)
                 try:
-                    kind, firsts, seconds, index, records = self._by_type[edge_type]
+                    kind = _EDGE_KINDS[edge_type]
                 except KeyError:
                     raise TypeError(f"unsupported edge type {edge_type.__name__}") from None
-                read, check, duplicate = kind.read, kind.check, kind.duplicate
+                check, index = kind.check, self._index.get(edge_type)
+                firsts, seconds = self._nodes[kind.first], self._nodes[kind.second]
+                records = self._records[kind.color]
             if check:
                 issue = check(edge)
                 if issue:
                     raise errors.InvalidLabel(issue)
-            a, b, label = read(edge)
+            a, b = edge[0], edge[1]
             if a not in firsts or b not in seconds:
                 part, key = (kind.first, a) if a not in firsts else (kind.second, b)
                 raise errors.MissingEndpoint(f"{part.value} {key_text(key)}")
-            adjacent = index.get(a)
-            if adjacent is None:
-                adjacent = index[a] = {}
-            elif duplicate and b in adjacent:
-                raise errors.DuplicateEdge(f"{duplicate} {key_text(a)}-{key_text(b)}")
-            adjacent[b] = label
+            if index is not None:
+                adjacent = index.get(a)
+                if adjacent is None:
+                    adjacent = index[a] = {}
+                elif b in adjacent:
+                    raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
+                adjacent[b] = edge
             records.append(edge)
 
     def edge_records(self, color: EdgeColor) -> list[Edge]:
@@ -314,7 +310,8 @@ class KnowledgeGraph:
     def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
         """The mutations of a disease's magenta edges, with their GDA scores."""
         self.disease(disease_id)
-        return dict(self._index[GdaAssociation].get(disease_id, {}))
+        edges = self._index[GdaAssociation].get(disease_id, {})
+        return {m: e.gda_score for m, e in edges.items()}
 
     def target_drugs(self, mutation: MutationKey) -> set[str]:
         """Drugs with a known effect on the mutation (its magenta drug edges)."""
@@ -323,7 +320,7 @@ class KnowledgeGraph:
         return set(self._index[TargetEdge].get(mutation, ()))
 
     def vaf(self, patient_id: str, mutation: MutationKey) -> float | None:
-        return self._index[GeneticEdge][patient_id][mutation]
+        return self._index[GeneticEdge][patient_id][mutation].vaf
 
 
 def validate(graph: KnowledgeGraph) -> list[Violation]:
@@ -355,7 +352,7 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
                         if kind else f"{color.value} record {edge_type.__name__} is not an edge")
                 out.append(Violation(PARTITION_VIOLATION, text))
                 continue
-            a, b, _ = kind.read(edge)
+            a, b = edge[0], edge[1]
             if a not in firsts or b not in seconds:
                 out.append(
                     Violation(DANGLING_ENDPOINT, f"{color.value} edge references a missing node")
@@ -365,11 +362,12 @@ def validate(graph: KnowledgeGraph) -> list[Violation]:
             if label_issue:
                 out.append(Violation(LABEL_OUT_OF_RANGE, label_issue))
                 continue
-            pair = (edge_type, a, b)  # edges of two types can be equal tuples
-            if kind.duplicate and pair in seen:
-                repeats.append(Violation(
-                    DUPLICATE_EDGE, f"duplicate {color.value} edge {key_text(a)}-{key_text(b)}"))
-            seen.add(pair)
+            if kind.duplicate:
+                pair = (edge_type, a, b)  # edges of two types can be equal tuples
+                if pair in seen:
+                    text = f"duplicate {color.value} edge {key_text(a)}-{key_text(b)}"
+                    repeats.append(Violation(DUPLICATE_EDGE, text))
+                seen.add(pair)
     return out + repeats
 
 

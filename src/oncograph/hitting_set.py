@@ -122,7 +122,9 @@ def _branch_and_bound(instance: HittingSetInstance, weights: Mapping) -> frozens
     size the larger mask is the smaller tuple, so the key is
     ``(weight, size, -mask)``. Target masks are sorted once into pivot order
     (fewest drugs, then id tuple). A branch bans the drugs of its earlier
-    siblings, whose subtrees already hold every cover containing them.
+    siblings, whose subtrees already hold every cover containing them. The
+    search runs on an explicit stack, so a cover may hold more drugs than
+    the recursion limit.
     """
     n = len(instance.universe)
     bit = {d: 1 << (n - 1 - i) for i, d in enumerate(instance.universe)}
@@ -135,30 +137,44 @@ def _branch_and_bound(instance: HittingSetInstance, weights: Mapping) -> frozens
     cheapest = {t: min(c for b, c in cost.items() if t & b) for t in targets}
     best = (sum(cost.values()) + 1, 0, 0)  # worse than any cover
 
-    def search(chosen: int, weight: int, size: int, uncovered: list[int], banned: int):
+    def enter(chosen: int, weight: int, size: int, uncovered: list[int], banned: int):
+        """A node's frame: its state and its drugs not yet tried, the next
+        one last; None for a cover, a node that the bound rules out, or one
+        whose drugs are all banned."""
         nonlocal best
         if not uncovered:
             best = min(best, (weight, size, -chosen))
-            return
+            return None
         bound, packed = weight, 0
         for t in uncovered:
             if not t & packed:
                 packed |= t
                 bound += cheapest[t]
         if (bound, size + 1) > best[:2]:
-            return
+            return None
         drugs = []
         free = uncovered[0] & ~banned
         while free:
             drugs.append(free & -free)
             free &= free - 1
-        drugs.sort(key=lambda b: (-sum(1 for t in uncovered if t & b), -b))
-        for b in drugs:
-            rest = [t for t in uncovered if not t & b]
-            search(chosen | b, weight + cost[b], size + 1, rest, banned)
-            banned |= b
+        # Ascending, as the last is tried first: the most-covering drug, and
+        # of those the larger bit, the one earlier in the universe.
+        drugs.sort(key=lambda b: (sum(1 for t in uncovered if t & b), b))
+        return [chosen, weight, size, uncovered, banned, drugs] if drugs else None
 
-    search(0, 0, 0, targets, 0)
+    root = enter(0, 0, 0, targets, 0)
+    stack = [root] if root else []
+    while stack:
+        chosen, weight, size, uncovered, banned, drugs = frame = stack[-1]
+        b = drugs.pop()
+        if drugs:
+            frame[4] = banned | b  # the later siblings ban b; this child does not
+        else:
+            stack.pop()
+        child = enter(chosen | b, weight + cost[b], size + 1,
+                      [t for t in uncovered if not t & b], banned)
+        if child:
+            stack.append(child)
     return frozenset(d for d in instance.universe if -best[2] & bit[d])
 
 

@@ -1,9 +1,9 @@
 """Tabular ingestion: TSV parsers and graph construction.
 
-Inputs are tab-separated UTF-8 files with '#'-prefixed comment lines and a
-header row; each table's header names are fixed, some columns optional.
-Malformed rows are collected into a report with line numbers, never
-silently dropped.
+Inputs are tab-separated UTF-8 files, with or without a byte-order mark,
+with '#'-prefixed comment lines and a header row; each table's header names
+are fixed, some columns optional. Malformed rows are collected into a report
+with line numbers, never silently dropped.
 
 Each parser emits the graph objects its rows stand for: a mutation row is a
 ``GeneticEdge``, a treatment row a ``TreatmentEdge``, and a clinical row a
@@ -106,7 +106,7 @@ class ParseResult:
 def _open(source) -> tuple:
     if hasattr(source, "read"):
         return source, getattr(source, "name", "<stream>")
-    return open(source, "r", encoding="utf-8"), str(source)
+    return open(source, "r", encoding="utf-8-sig"), str(source)
 
 
 def undecodable_line(path) -> int:
@@ -201,8 +201,11 @@ def exact_number(text: str, what: str = "number") -> Fraction:
     (``_MAX_DIGITS``) decimal places and as many digits before the point,
     where each of ``a`` and ``b`` counts as digits before the point. Raises
     ValueError, naming ``what``, for text out of these bounds or that
-    Fraction does not read.
+    Fraction does not read. An ``_`` is refused on every Python, though
+    Fraction reads ``1_0`` as 10 from 3.11 on.
     """
+    if "_" in text:
+        raise ValueError(f"non-numeric {what} '{text}'")
     num, slash, den = text.partition("/")
     if slash:
         places, before = 0, max(len(num.strip().lstrip("+-")), len(den.strip()))
@@ -355,6 +358,10 @@ def build_graph(
     reported as orphans. Gene-level association and drug target rows fan
     out to every mutation node on the matching gene. The graph is not
     validated here: ``graph.validate`` does that.
+
+    Green edges and their mutation nodes go in unsorted, in the order of
+    each pair's first accepted row; the other rows are sorted, which fixes
+    the order of the build report's notes.
     """
     graph = KnowledgeGraph()
     report: list[ReportEntry] = []
@@ -374,7 +381,7 @@ def build_graph(
     graph.add_edges(diagnoses)
 
     # Collapse duplicate (patient, mutation) edges keeping the max VAF (None
-    # sorts below any number).
+    # sorts below any number); a pair keeps the place of its first row.
     best: dict[tuple[str, MutationKey], GeneticEdge] = {}
     orphans = 0
     patients = graph.patients
@@ -394,13 +401,11 @@ def build_graph(
             if prev.vaf is not None and (edge.vaf is None or edge.vaf <= prev.vaf):
                 continue
         best[pair] = edge
-    # The pairs are distinct, so the edges sort as their pairs do.
-    genetic = sorted(best.values())
     mutations = graph.mutations
-    for edge in genetic:
+    for edge in best.values():
         if edge.mutation not in mutations:
             graph.add_node(edge.mutation)
-    graph.add_edges(genetic)
+    graph.add_edges(best.values())
 
     gda_best: dict[tuple[str, str], Fraction] = {}
     for row in gda_rows:
@@ -426,28 +431,16 @@ def build_graph(
     drug_genes: dict[str, list[str]] = {}
     for row in drug_rows:
         if row.drug_id in drug_specs:
-            prev = drug_specs[row.drug_id]
-            if row.toxicity_weight is not None and row.toxicity_weight != (
-                prev.toxicity_weight
-            ):
-                note(
-                    "warning",
-                    f"conflicting weight for drug {row.drug_id}; first kept",
-                )
+            weight = row.toxicity_weight
+            if weight is not None and weight != drug_specs[row.drug_id].toxicity_weight:
+                note("warning", f"conflicting weight for drug {row.drug_id}; first kept")
         else:
             drug_specs[row.drug_id] = row
         drug_genes.setdefault(row.drug_id, []).append(row.gene)
     for drug_id in sorted(drug_specs):
         spec = drug_specs[drug_id]
-        graph.add_node(
-            DrugNode(
-                drug_id=drug_id,
-                adverse_effects=spec.adverse_effects,
-                toxicity_weight=(
-                    spec.toxicity_weight if spec.toxicity_weight is not None else Fraction(1)
-                ),
-            )
-        )
+        weight = Fraction(1) if spec.toxicity_weight is None else spec.toxicity_weight
+        graph.add_node(DrugNode(drug_id, spec.adverse_effects, weight))
         targeted = set()
         for gene in drug_genes[drug_id]:
             matches = graph.mutations_of_gene(gene)

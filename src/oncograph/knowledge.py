@@ -20,11 +20,6 @@ from .graph import KnowledgeGraph, MutationKey
 DEFAULT_GDA_THRESHOLD = Fraction(4, 5)
 
 
-class Granularity(enum.Enum):
-    MUTATION = "mutation"
-    GENE = "gene"
-
-
 class ConsistencyStatus(enum.Enum):
     PERFECT_MATCH = "perfect_match"
     INCOMPLETE_KNOWLEDGE = "incomplete_knowledge"
@@ -72,19 +67,18 @@ def check_consistency(
     graph: KnowledgeGraph,
     disease_id: str,
     gda_threshold: Fraction = DEFAULT_GDA_THRESHOLD,
-    granularity: Granularity = Granularity.GENE,
+    gene_level: bool = True,
 ) -> tuple[DiseaseEvidence, ConsistencyVerdict]:
     """Compare curated knowledge against evidence for one disease.
 
     The patients' profiles come from ``cohort.profiles_from_graph``. At
-    gene granularity they and the knowledge set are downgraded to gene
-    symbols before the union/intersection is taken (curated sources record
-    genes, not loci), so two patients carrying different mutations of the
-    same gene still share that gene.
+    gene level (the default) they and the knowledge set are downgraded to
+    gene symbols before the union/intersection is taken (curated sources
+    record genes, not loci), so two patients carrying different mutations
+    of the same gene still share that gene.
     """
     cohort = frozenset(graph.patients_of_disease(disease_id))
     known = frozenset(known_mutations(graph, disease_id, gda_threshold))
-    gene_level = granularity is Granularity.GENE
     if gene_level:
         known = frozenset(m.gene for m in known)
     items = [p.mutations for p in profiles_from_graph(graph, cohort, gene_level)]

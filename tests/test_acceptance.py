@@ -110,7 +110,7 @@ def test_knowledge_check_correctness():
     """Exhaustive 4-case classification + brute-force agreement <=50 nodes."""
     m1, m2 = make_mutation("KRAS", 1), make_mutation("TP53", 2)
     from test_knowledge import graph_with
-    from oncograph.knowledge import ConsistencyStatus, Granularity
+    from oncograph.knowledge import ConsistencyStatus
 
     cases = [
         ({"P1": [m1], "P2": [m1]}, [m1], ConsistencyStatus.PERFECT_MATCH),
@@ -120,7 +120,7 @@ def test_knowledge_check_correctness():
     ]
     for profiles, known, expected in cases:
         g = graph_with(profiles, known=known)
-        _, verdict = knowledge.check_consistency(g, "D1", granularity=Granularity.MUTATION)
+        _, verdict = knowledge.check_consistency(g, "D1", gene_level=False)
         assert verdict.status is expected
 
     rng = random.Random(2027)
@@ -130,7 +130,7 @@ def test_knowledge_check_correctness():
             t = round(rng.random(), 2)
             pats, union, common, known = brute_force_sets(g, d, t, gene_level=False)
             evidence, _ = knowledge.check_consistency(
-                g, d, gda_threshold=t, granularity=Granularity.MUTATION
+                g, d, gda_threshold=t, gene_level=False
             )
             assert evidence.patients == pats
             assert evidence.union_mutations == union

@@ -1,7 +1,9 @@
+import codecs
 import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from oncograph import cli, cohort
 
-from conftest import FIXTURES, REPO
+from conftest import FIXTURES, GOLDEN, REPO
+from test_runtime import COMMANDS
 
 
 def run(argv):
@@ -37,6 +40,19 @@ def fixture_args(out, **overrides):
         "--drugs", str(paths["drugs"]),
         "--out", str(out),
     ]
+
+
+def replay_goldens(out, tables, skip=()):
+    """Runs every command of test_runtime's COMMANDS in process on ``tables``
+    (table -> path) and compares each TSV it writes, except the goldens in
+    ``skip``, with its golden file."""
+    inputs = [f"--{table}={path}" for table, path in tables.items()]
+    for command, (argv, _, outputs) in COMMANDS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run([*argv, *inputs, f"--out={out}"]) == 0, command
+        for name, golden in outputs.items():
+            if golden not in skip:
+                assert (out / name).read_bytes() == (GOLDEN / golden).read_bytes(), command
 
 
 class TestExitCodes:
@@ -92,6 +108,18 @@ class TestDeterminism:
         capsys.readouterr()
         for f in sorted(out1.iterdir()):
             assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mutation_row_order_changes_only_the_build_report(self, tmp_path, seed):
+        # Green edges go into the graph in input order; every output sorts its rows.
+        lines = (FIXTURES / "mutations.tsv").read_text().splitlines(keepends=True)
+        rows = lines[2:]
+        random.Random(seed).shuffle(rows)
+        assert rows != lines[2:]
+        path = tmp_path / "mutations.tsv"
+        path.write_text("".join(lines[:2] + rows))
+        tables = {t: FIXTURES / f"{t}.tsv" for t in ("clinical", "gda", "drugs")}
+        replay_goldens(tmp_path / "out", {"mutations": path, **tables}, skip={"build_report.tsv"})
 
 
 class TestTreat:
@@ -193,7 +221,9 @@ class TestExactThresholds:
     def test_threshold_with_too_many_digits_is_usage_error(self, tmp_path, argv, capsys):
         out = tmp_path / "out"
         assert run(argv + fixture_args(out)) == 64
-        assert "invalid exact_number value" in capsys.readouterr().err
+        # The usage error keeps the reason that ingest.exact_number gives.
+        option, _, value = argv[1].partition("=")
+        assert f"argument {option}: value {value} has more than 1000 " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -271,6 +301,13 @@ class TestConfigFile:
             # Both settings change this output, so the match shows they were read.
             assert (tmp_path / "plain" / name).read_bytes() != expected
 
+    def test_config_with_a_byte_order_mark_is_read(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_bytes(codecs.BOM_UTF8 + json.dumps({"out": str(tmp_path / "cfg")}).encode())
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        assert run(["build"] + fixture_args(tmp_path)[:-2]) == 0  # no --out
+        assert (tmp_path / "cfg" / "build_report.tsv").exists()
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_unreadable_config_is_io_error(self, tmp_path, monkeypatch, content, capsys):
         config = tmp_path / "config.json"
@@ -321,6 +358,14 @@ class TestParseBoundary:
         monkeypatch.setenv(cli.CONFIG_ENV, str(config))
         assert run(["build"] + fixture_args(tmp_path)) == 2
         assert f"cannot read config {config}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_inputs_with_a_byte_order_mark_match_the_goldens(self, tmp_path):
+        # Spreadsheet "UTF-8" exports begin with one.
+        tables = {}
+        for table in ("mutations", "clinical", "gda", "drugs"):
+            tables[table] = tmp_path / f"{table}.tsv"
+            tables[table].write_bytes(codecs.BOM_UTF8 + (FIXTURES / f"{table}.tsv").read_bytes())
+        replay_goldens(tmp_path / "out", tables)
 
     def test_comma_in_patient_id_is_rejected(self, tmp_path, capsys):
         args = write_inputs(

@@ -105,6 +105,12 @@ class TestSolvers:
             assert sol.drugs == frozenset()
             assert sol.total_weight == 0
 
+    def test_cover_larger_than_the_recursion_limit(self):
+        # Each target needs its own drug, so every cover holds all 1,100.
+        inst = hs.make_instance([{f"d{i}"} for i in range(1100)])
+        for solve in (hs.solve_min_cardinality, hs.solve_min_weight):
+            assert solve(inst).drugs == set(inst.universe)
+
     def test_hits_map(self):
         g = target_graph()
         inst = hs.build_instance(g, "P1", [M1, M2])

@@ -204,6 +204,14 @@ class TestOtherParsers:
             (7, "non-numeric weight 'abc'"),
         ]
 
+    @pytest.mark.parametrize("text", ["1_0", "1/1_0", "0.0_1"])
+    def test_underscore_is_not_a_digit_separator(self, text):
+        # Fraction reads "1_0" as 10 from Python 3.11 on, but not on 3.10.
+        with pytest.raises(ValueError, match=f"non-numeric weight '{text}'"):
+            ingest.exact_number(text, "weight")
+        res = ingest.parse_drug_target_table(io.StringIO(DRUG_HEADER + f"d1\tKRAS\t{text}\n"))
+        assert [e.message for e in res.issues] == [f"non-numeric weight '{text}'"]
+
     def test_treatment_effectiveness_codes(self):
         res = ingest.parse_treatment_table(
             io.StringIO(
@@ -234,6 +242,15 @@ class TestBuildGraph:
         assert g.edge_counts()["green"] == 2
         m = g.mutation_by_display("KRAS_1_100_100")
         assert g.vaf("P1", m) == 0.6
+
+    def test_loci_that_render_alike_resolve_to_the_first_row(self):
+        # Gene A_1 on chromosome 2 and gene A on chromosome 1_2 both render
+        # as A_1_2_5_5; the one whose row comes first in the input wins.
+        a1 = GeneticEdge("P1", MutationKey("A_1", "2", 5, 5), 0.5)
+        a12 = GeneticEdge("P2", MutationKey("A", "1_2", 5, 5), 0.5)
+        for rows in ([a1, a12], [a12, a1]):
+            g, _ = ingest.build_graph(rows, [clin_row("P1"), clin_row("P2")], [], [])
+            assert g.mutation_by_display("A_1_2_5_5") == rows[0].mutation
 
     def test_gene_match_expansion(self):
         g, _ = ingest.build_graph(

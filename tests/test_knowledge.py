@@ -16,7 +16,7 @@ from oncograph import (
     ingest,
     knowledge,
 )
-from oncograph.knowledge import ConsistencyStatus, Granularity
+from oncograph.knowledge import ConsistencyStatus
 
 from conftest import make_mutation, random_graph
 
@@ -45,7 +45,7 @@ M3 = make_mutation("EGFR", 300)
 
 
 def evidence_of(g, disease="D1"):
-    evidence, _ = knowledge.check_consistency(g, disease, granularity=Granularity.MUTATION)
+    evidence, _ = knowledge.check_consistency(g, disease, gene_level=False)
     return evidence
 
 
@@ -126,24 +126,24 @@ class TestKnownMutations:
 class TestConsistency:
     def test_perfect_match(self):
         g = graph_with({"P1": [M1], "P2": [M1]}, known=[M1])
-        _, verdict = knowledge.check_consistency(g, "D1", granularity=Granularity.MUTATION)
+        _, verdict = knowledge.check_consistency(g, "D1", gene_level=False)
         assert verdict.status is ConsistencyStatus.PERFECT_MATCH
 
     def test_incomplete_knowledge(self):
         g = graph_with({"P1": [M1, M2], "P2": [M1, M2]}, known=[M1])
-        _, verdict = knowledge.check_consistency(g, "D1", granularity=Granularity.MUTATION)
+        _, verdict = knowledge.check_consistency(g, "D1", gene_level=False)
         assert verdict.status is ConsistencyStatus.INCOMPLETE_KNOWLEDGE
         assert verdict.missing_from_knowledge == {M2}
 
     def test_inconsistent_evidence(self):
         g = graph_with({"P1": [M1], "P2": []}, known=[M1])
-        _, verdict = knowledge.check_consistency(g, "D1", granularity=Granularity.MUTATION)
+        _, verdict = knowledge.check_consistency(g, "D1", gene_level=False)
         assert verdict.status is ConsistencyStatus.INCONSISTENT_EVIDENCE
         assert verdict.unsupported_knowledge == {M1}
 
     def test_combination(self):
         g = graph_with({"P1": [M2], "P2": [M2]}, known=[M1])
-        _, verdict = knowledge.check_consistency(g, "D1", granularity=Granularity.MUTATION)
+        _, verdict = knowledge.check_consistency(g, "D1", gene_level=False)
         assert verdict.status is ConsistencyStatus.COMBINATION
 
     def test_classify_is_pure_function_of_differences(self):
@@ -155,7 +155,7 @@ class TestConsistency:
 
     def test_coverage_violation_reported(self):
         g = graph_with({"P1": [M1]}, known=[M1, M3])
-        _, verdict = knowledge.check_consistency(g, "D1", granularity=Granularity.MUTATION)
+        _, verdict = knowledge.check_consistency(g, "D1", gene_level=False)
         assert verdict.coverage_violations == {M3}
 
     def test_gene_granularity_merges_same_gene_mutations(self):
@@ -193,14 +193,13 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("gene_level", [False, True])
     def test_random_graphs(self, gene_level):
         rng = random.Random(17)
-        gran = Granularity.GENE if gene_level else Granularity.MUTATION
         for _ in range(30):
             g = random_graph(rng, max_nodes=50)
             for d in g.diseases:
                 t = round(rng.random(), 2)
                 pats, union, common, known = brute_force_sets(g, d, t, gene_level)
                 evidence, verdict = knowledge.check_consistency(
-                    g, d, gda_threshold=t, granularity=gran
+                    g, d, gda_threshold=t, gene_level=gene_level
                 )
                 assert evidence.patients == pats
                 assert evidence.union_mutations == union
