@@ -77,13 +77,19 @@ def _configure(action: argparse.Action, cfg: dict) -> None:
     action.default = value
 
 
-def _exact(text: str):
-    """``ingest.exact_number`` as an argparse type: argparse prints the reason
-    of an ArgumentTypeError, where it drops that of a ValueError."""
-    try:
-        return ingest.exact_number(text, "value")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option_type(parse):
+    """``parse(text, "value")`` as an argparse type: argparse prints the
+    reason of an ArgumentTypeError, where it drops that of a ValueError."""
+    def read(text: str):
+        try:
+            return parse(text, "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+_exact = _option_type(ingest.exact_number)
+_int = _option_type(ingest.whole_number)
 
 
 def _add_io_args(p: argparse.ArgumentParser, cfg: dict) -> None:
@@ -342,8 +348,11 @@ def cmd_treat(args) -> int:
     from . import hitting_set as hs
     g, _ = _load(args)
     out = _outdir(args)
-    # An unknown patient or mutation, or an untargetable one, exits 3 in main.
-    targets = [g.mutation_by_display(t) for t in args.targets.split(",") if t]
+    # A target names one of the patient's mutations, the least by key of two
+    # that render alike. An unknown patient or mutation, one the patient does
+    # not carry, or an untargetable one, exits 3 in main.
+    own = {m.display(): m for m in sorted(g.mutations_of_patient(args.patient), reverse=True)}
+    targets = [own.get(t) or g.mutation_by_display(t) for t in args.targets.split(",") if t]
     instance = hs.build_instance(g, args.patient, targets)
     solution = (
         hs.solve_min_weight(instance)
@@ -384,16 +393,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _configure(p.add_argument("--k", type=_exact, default="0"), cfg)
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
-    _configure(p.add_argument("--t-long", type=int, default=36), cfg)
-    _configure(p.add_argument("--t-short", type=int, default=6), cfg)
+    _configure(p.add_argument("--t-long", type=_int, default=36), cfg)
+    _configure(p.add_argument("--t-short", type=_int, default=6), cfg)
 
     p = add("freq", cmd_freq, "frequency table of mutations or genes")
     p.add_argument("--mode", choices=_FREQUENCY_MODES, default="mutation")
-    _configure(p.add_argument("--top-n", type=int, default=10), cfg)
+    _configure(p.add_argument("--top-n", type=_int, default=10), cfg)
     p.add_argument("--disease", default=None)
     p.add_argument("--band", choices=["all", *_BANDS], default="all")
-    _configure(p.add_argument("--t-long", type=int, default=36), cfg)
-    _configure(p.add_argument("--t-short", type=int, default=6), cfg)
+    _configure(p.add_argument("--t-long", type=_int, default=36), cfg)
+    _configure(p.add_argument("--t-short", type=_int, default=6), cfg)
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
     p.add_argument("--k", type=_exact, required=True, help="support percentage")

@@ -258,50 +258,50 @@ def coexisting_mutation_sets(
 ) -> list[CoexistenceSet]:
     """Maximal mutation sets carried simultaneously by >= k% of patients.
 
-    Depth-first search over tidsets (Eclat; Zaki, TKDE 2000): a set grows
-    only by frequent items that sort after its last one, so each frequent
-    set is reached once. A set is kept when no frequent item outside it,
-    earlier or later, can join it at the minimum support (GenMax; Gouda &
-    Zaki, ICDM 2001).
+    Every maximal frequent set is closed, so only closed sets are searched
+    (LCM; Uno, Kiyomi & Arimura, FIMI 2004). Patient b is bit b, an item's
+    tidset (its patients) an int, and a tidset's closed set every item whose
+    tidset contains it. A set grows by an item j past its core only if each
+    item before j that the grown tidset keeps is in it already, so each
+    closed set is reached once. It is kept when nothing can join it.
     """
     k = Fraction(k_percent)
     if not 0 < k <= 100:
         raise errors.InvalidPercent(f"k_percent {k_percent} outside (0, 100]")
     n = len(profiles)
-    if n == 0:
-        return []
+    min_count = -(-(k * n) // 100)  # ceil(k*n/100): the least count reaching k%
 
-    # Smallest patient count whose percentage reaches k.
-    min_count = -(-(k * n) // 100)  # ceil(k*n/100)
-
-    tidsets: dict[object, set[str]] = {}
-    for p in profiles:
+    tidsets: dict[object, int] = {}
+    for b, p in enumerate(profiles):
         for item in p.mutations:
-            tidsets.setdefault(item, set()).add(p.patient_id)
-    items = sorted((i for i, t in tidsets.items() if len(t) >= min_count), key=key_text)
+            tidsets[item] = tidsets.get(item, 0) | 1 << b
+    items = sorted((i for i, t in tidsets.items() if t.bit_count() >= min_count), key=key_text)
+    masks = [tidsets[i] for i in items]
 
     out = []
-    stack = [((), {p.patient_id for p in profiles}, 0)]
+    stack = [((1 << n) - 1, 0)]
     while stack:
-        chosen, tids, start = stack.pop()
-        grown = False
-        for j in range(start, len(items)):
-            supp = tids & tidsets[items[j]]
-            if len(supp) >= min_count:
-                stack.append((chosen + (items[j],), supp, j + 1))
-                grown = True
-        # A set no later item grew is maximal unless an earlier item can join it.
-        if grown or not chosen or any(
-            len(tids & tidsets[i]) >= min_count for i in items[:start] if i not in chosen
-        ):
-            continue
-        out.append(
-            CoexistenceSet(
-                mutations=frozenset(chosen),
-                support_percent=Fraction(100 * len(tids), n),
-                supporting_patients=frozenset(tids),
-            )
-        )
+        tids, start = stack.pop()
+        closed = [m & tids == tids for m in masks]
+        maximal = True
+        for j, mask in enumerate(masks):
+            grown = tids & mask
+            if closed[j] or grown.bit_count() < min_count:
+                continue
+            maximal = False
+            if j >= start and all(closed[i] or masks[i] & grown != grown for i in range(j)):
+                stack.append((grown, j + 1))
+        if maximal and any(closed):
+            patients, rest = [], tids
+            while rest:
+                low = rest & -rest
+                patients.append(profiles[low.bit_length() - 1].patient_id)
+                rest ^= low
+            out.append(CoexistenceSet(
+                mutations=frozenset(i for i, c in zip(items, closed) if c),
+                support_percent=Fraction(100 * len(patients), n),
+                supporting_patients=frozenset(patients),
+            ))
     out.sort(key=lambda c: (-c.support_percent, sorted(key_text(i) for i in c.mutations)))
     return out
 
@@ -329,17 +329,13 @@ def frequency_table(
         denominator = sum(len(p.mutations) for p in profiles)
         if denominator == 0:
             raise errors.EmptyPopulation("profiles carry no mutations")
-        name = key_text if mode is FrequencyMode.MUTATION else _gene_of
-        counts = Counter()
-        for item, c in Counter(i for p in profiles for i in p.mutations).items():
-            counts[name(item)] += c
-    rows = sorted(
-        ((name, Fraction(100 * c, denominator)) for name, c in counts.items()),
-        key=lambda r: (-r[1], r[0]),
-    )
+        items = (i for p in profiles for i in p.mutations)
+        counts = Counter(items if mode is FrequencyMode.MUTATION else map(_gene_of, items))
+    # Two loci that render alike are two rows, in key order.
+    rows = sorted(counts.items(), key=lambda r: (-r[1], key_text(r[0]), r[0]))
     if top_n is not None:
         rows = rows[:top_n]
-    return tuple(rows)
+    return tuple((key_text(item), Fraction(100 * c, denominator)) for item, c in rows)
 
 
 def _gene_of(item) -> str:

@@ -234,6 +234,8 @@ def _unit_interval(column: str, text: str) -> float:
     can hide an out-of-range text; only then is the text compared exactly.
     """
     try:
+        if "_" in text:  # float reads 1_0 as 10; a cell never does
+            raise ValueError
         approx = float(text)
     except ValueError:
         raise ValueError(f"non-numeric {column} '{text}'") from None
@@ -244,11 +246,15 @@ def _unit_interval(column: str, text: str) -> float:
     return approx
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"non-integer {what} '{text}'") from None
+def whole_number(text: str, what: str) -> int:
+    """The int of a decimal text; raises ValueError, naming ``what``, for any
+    other, ``_`` included, which int reads as a digit separator."""
+    if "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"non-integer {what} '{text}'")
 
 
 def parse_mutation_table(source) -> ParseResult:
@@ -263,8 +269,8 @@ def parse_mutation_table(source) -> ParseResult:
         cells = (gene, chromosome, start_text, end_text)
         mutation = spelled.get(cells)
         if mutation is None:
-            start = _parse_int(start_text, "start_position")
-            end = _parse_int(end_text, "end_position")
+            start = whole_number(start_text, "start_position")
+            end = whole_number(end_text, "end_position")
             if start < 0 or start > end:
                 raise ValueError(f"bad locus range {start}..{end}")
             locus = (gene, chromosome, start, end)
@@ -289,7 +295,7 @@ def parse_clinical_table(source) -> ParseResult:
 
     def row_fn(pid, cancer_type, os_months, os_status):
         try:
-            months = float(os_months)
+            months = math.nan if "_" in os_months else float(os_months)
         except ValueError:
             months = math.nan
         if not math.isfinite(months):
@@ -331,7 +337,7 @@ def parse_treatment_table(source) -> ParseResult:
     codes = {e.value: e for e in Effectiveness}
 
     def row_fn(pid, drug_id, order_text, effectiveness):
-        order = _parse_int(order_text, "order")
+        order = whole_number(order_text, "order")
         if order < 0:
             raise ValueError(f"negative order {order}")
         eff = codes.get(effectiveness.lower())

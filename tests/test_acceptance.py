@@ -140,6 +140,35 @@ def test_knowledge_check_correctness():
     ok("knowledge-check correctness (4-case + brute force)")
 
 
+def test_coexisting_sets_with_hypermutated_patients():
+    """300 small profiles plus 4 patients sharing 28 items, at k=0.3: one
+    patient is support enough, so the frequent sets number over 2^28, and
+    every set returned is frequent, closed and maximal."""
+    rng = random.Random(2026)
+    genes = [f"g{i:03d}" for i in range(300)]
+    shared = [f"h{i:02d}" for i in range(28)]
+    ps = [prof(f"P{j:03d}", *rng.sample(genes, rng.randint(1, 6))) for j in range(300)]
+    ps += [prof(f"H{j}", *shared, *rng.sample(genes, 3)) for j in range(4)]
+    start = time.monotonic()
+    out = cohort.coexisting_mutation_sets(ps, 0.3)
+    elapsed = time.monotonic() - start
+    assert elapsed < 5, f"coexisting sets took {elapsed:.1f}s"
+    min_count = 1  # ceil(0.3 * 304 / 100)
+    carriers = {}
+    for p in ps:
+        for item in p.mutations:
+            carriers.setdefault(item, set()).add(p.patient_id)
+    assert set().union(*(c.mutations for c in out)) == set(carriers)
+    for c in out:
+        patients = set.intersection(*(carriers[i] for i in c.mutations))
+        assert c.supporting_patients == patients and len(patients) >= min_count
+        assert not any(  # maximal, so closed too
+            len(patients & carriers[i]) >= min_count for i in carriers if i not in c.mutations
+        )
+    assert {c.mutations for c in out} >= {p.mutations for p in ps[-4:]}
+    ok(f"coexisting sets with hypermutated patients ({len(out)} sets, {elapsed:.1f}s)")
+
+
 def test_graph_invariants():
     """Random constructions validate clean; 5 injected violation classes."""
     rng = random.Random(2028)

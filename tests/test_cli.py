@@ -182,6 +182,40 @@ def write_inputs(tmp_path, patients, mutations):
     )
 
 
+def write_alike_loci(tmp_path):
+    """Two patients on loci that both render A_1_2_5_5: P1 on gene A_1 at
+    chromosome 2, P2 on gene A at chromosome 1_2. Drug dA hits gene A,
+    drug dA1 gene A_1."""
+    (tmp_path / "clinical.tsv").write_text(
+        "sample_id\tcancer_type\tos_months\tos_status\n"
+        "P1\tLUAD\t12\tliving\nP2\tLUAD\t12\tliving\n"
+    )
+    (tmp_path / "mutations.tsv").write_text(
+        "sample_id\tgene\tchromosome\tstart_position\tend_position\tvaf\n"
+        "P1\tA_1\t2\t5\t5\t0.5\nP2\tA\t1_2\t5\t5\t0.5\n"
+    )
+    (tmp_path / "gda.tsv").write_text("gene\tdisease\tgda_score\n")
+    (tmp_path / "drugs.tsv").write_text("drug\tgene\ndA\tA\ndA1\tA_1\n")
+    return fixture_args(tmp_path / "out", **{
+        t: tmp_path / f"{t}.tsv" for t in ("mutations", "clinical", "gda", "drugs")
+    })
+
+
+class TestLociThatRenderAlike:
+    @pytest.mark.parametrize("patient, drug", [("P1", "dA1"), ("P2", "dA")])
+    def test_treat_names_the_patients_own_locus(self, tmp_path, patient, drug, capsys):
+        args = write_alike_loci(tmp_path)
+        assert run(["treat", "--patient", patient, "--targets", "A_1_2_5_5"] + args) == 0
+        assert (tmp_path / "out" / "treatment.tsv").read_text() == f"drug\tweight\n{drug}\t1\n"
+        capsys.readouterr()
+
+    def test_freq_counts_each_locus(self, tmp_path):
+        assert run(["freq", "--mode", "mutation"] + write_alike_loci(tmp_path)) == 0
+        assert (tmp_path / "out" / "frequency.tsv").read_text() == (
+            "item\tpercent\nA_1_2_5_5\t50.0\nA_1_2_5_5\t50.0\n"
+        )
+
+
 class TestExactThresholds:
     def test_jaccard_k_joins_pair_at_exactly_k(self, tmp_path):
         # |a ^ b| = 3 and |a | b| = 10: distance exactly 3/10.
@@ -271,6 +305,41 @@ class TestExactThresholds:
         assert run(["check", f"--gda-threshold={threshold}"] + fixture_args(out)) == 64
         capsys.readouterr()
         assert not out.exists()
+
+
+TREATMENT_HEADER = "sample_id\tdrug_id\torder\teffectiveness\n"
+
+
+@pytest.mark.parametrize(
+    "table, extra, message",
+    [
+        ("mutations", "P1\tKRAS\t12\t1_0\t10\t0.5", "non-integer start_position '1_0'"),
+        ("mutations", "P1\tKRAS\t12\t10\t1_0\t0.5", "non-integer end_position '1_0'"),
+        ("mutations", "P1\tKRAS\t12\t10\t10\t0.1_5", "non-numeric vaf '0.1_5'"),
+        ("clinical", "P9\tLUAD\t3_6\tliving", "non-numeric os_months '3_6'"),
+        ("treatments", "P1\tsotorasib\t1_0\tp", "non-integer order '1_0'"),
+        (None, ["freq", "--top-n", "1_0"], "argument --top-n: non-integer value '1_0'"),
+        (None, ["freq", "--t-long", "3_6"], "argument --t-long: non-integer value '3_6'"),
+        (None, ["cohort", "--t-short", "1_0"], "argument --t-short: non-integer value '1_0'"),
+    ],
+    ids=["start", "end", "vaf", "os_months", "order", "top-n", "t-long", "t-short"],
+)
+def test_underscore_is_refused_in_every_number(tmp_path, table, extra, message, capsys):
+    """int and float read ``1_0`` as 10; a cell is a malformed row, and an
+    option a usage error that keeps the reason."""
+    out = tmp_path / "out"
+    if table is None:
+        assert run(extra + fixture_args(out)) == 64
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        return
+    path = tmp_path / f"{table}.tsv"
+    fixture = FIXTURES / f"{table}.tsv"
+    head = fixture.read_text() if fixture.exists() else TREATMENT_HEADER
+    path.write_text(head + extra + "\n")
+    assert run(["build"] + fixture_args(out) + [f"--{table}={path}"]) == 0
+    report = (out / "build_report.tsv").read_text().splitlines()
+    assert f"{path}\t{len(head.splitlines()) + 1}\terror\t{message}" in report
 
 
 def test_freq_modes_are_the_frequency_modes():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -312,6 +313,35 @@ class TestCoexistingSets:
             for item in c.mutations:
                 sub_supp = sum(1 for p in ps if (c.mutations - {item}) <= p.mutations)
                 assert Fraction(100 * sub_supp, n) >= 50
+
+
+class TestClosedSetSearch:
+    def test_oracle_past_one_machine_word(self):
+        # More than 64 patients, so tidsets span several words; items are
+        # MutationKeys, ordered by their rendering.
+        rng = random.Random(97)
+        for _ in range(40):
+            universe = [make_mutation(f"G{i % 4}", i) for i in range(rng.randint(1, 10))]
+            sizes = [rng.randint(0, min(5, len(universe))) for _ in range(rng.randint(65, 130))]
+            ps = [
+                MutationProfile(f"P{j:03d}", frozenset(rng.sample(universe, size)))
+                for j, size in enumerate(sizes)
+            ]
+            k = rng.choice([Fraction(1, 3), 1, 5, 10, 25, 50])
+            out = coexisting_mutation_sets(ps, k)
+            assert {c.mutations: c.supporting_patients for c in out} == brute_force_coexist(ps, k)
+            for c in out:
+                assert c.support_percent == Fraction(100 * len(c.supporting_patients), len(ps))
+
+    def test_no_profiles_no_sets(self):
+        assert coexisting_mutation_sets([], 50) == []
+
+    def test_one_patient_with_twenty_items_is_one_step(self):
+        ps = [prof("P1", *(f"g{i:02d}" for i in range(20)))]
+        start = time.perf_counter()
+        out = coexisting_mutation_sets(ps, 100)
+        assert time.perf_counter() - start < 0.01
+        assert [(len(c.mutations), c.supporting_patients) for c in out] == [(20, {"P1"})]
 
 
 class TestFrequencyTable:
