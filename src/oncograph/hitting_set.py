@@ -3,13 +3,16 @@
 A treatment instance maps each selected mutation of a patient to the set of
 drugs acting on it; a hitting set is a drug subset touching every one of
 those sets. The solver is one deterministic branch and bound over Python
-ints: drugs are bits, target sets are masks, and the exact rational weights
-are scaled by the LCM of their denominators to integers, so no floating
-point enters the optimality comparison. It branches on the uncovered target
-set with fewest candidate drugs, most-covering drug first (so its first
-descent is the greedy cover), and bounds with a greedy packing of
-pairwise-disjoint uncovered sets. Exponential in the worst case, but target
-sets are small in practice.
+ints. The exact rational weights are scaled by the LCM of their
+denominators to integers and folded, with the tie-break, into one strict
+integer cost per drug, so no floating point and no tuple comparison enters
+the search. Two exact reductions shrink the instance first: a target set
+that holds another is dropped, and so is a drug that a cheaper drug
+dominates. The search state is the bitset of uncovered targets; it
+branches on the uncovered target with fewest drugs, most-covering drug
+first (so its first descent is the greedy cover), and bounds with a greedy
+packing of pairwise-disjoint uncovered targets. Exponential in the worst
+case, but target sets are small in practice.
 
 Tie-breaking is fixed everywhere: total weight, then cardinality, then the
 lexicographically smallest sorted drug-id tuple.
@@ -91,6 +94,8 @@ def make_instance(
 
     A drug id may not contain a comma: ids follow the rule of the parse
     boundary, where ids are comma-joined in outputs and ``treat --targets``.
+    A weight must be an ``int`` or a ``Fraction``: a float is a binary
+    fraction, not the decimal it was written as.
     """
     fam = tuple(frozenset(s) for s in family)
     universe = tuple(sorted(set().union(*fam)))
@@ -100,7 +105,9 @@ def make_instance(
     w = dict.fromkeys(universe, Fraction(1))
     for d, v in (weights or {}).items():
         if d in w:
-            if Fraction(v) < 0:
+            if not isinstance(v, (int, Fraction)):
+                raise errors.InvalidLabel(f"weight for {d} is not an int or a Fraction: {v!r}")
+            if v < 0:
                 raise errors.InvalidLabel(f"negative weight for {d}")
             w[d] = Fraction(v)
     return HittingSetInstance(universe, fam, w)
@@ -115,67 +122,108 @@ def _assemble(instance: HittingSetInstance, drugs: frozenset[str]) -> TreatmentS
     return TreatmentSolution(drugs=drugs, total_weight=total, hits=hits)
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def _branch_and_bound(instance: HittingSetInstance, weights: Mapping) -> frozenset[str]:
     """The hitting set of least (weight, size, sorted drug tuple).
 
-    Drug ``i`` of the sorted universe is bit ``n-1-i``: among drug sets of one
-    size the larger mask is the smaller tuple, so the key is
-    ``(weight, size, -mask)``. Target masks are sorted once into pivot order
-    (fewest drugs, then id tuple). A branch bans the drugs of its earlier
-    siblings, whose subtrees already hold every cover containing them. The
-    search runs on an explicit stack, so a cover may hold more drugs than
-    the recursion limit.
+    Drug ``i`` of the sorted universe is bit ``n-1-i``, so among drug sets of
+    one size the larger mask is the smaller tuple. With ``B = 2**n`` and
+    ``A = B*(n+2)``, drug ``d`` costs ``weight(d)*scale*A + B - bit(d)``, and
+    a set costs ``W*A + size*B - mask``: one integer per set, distinct for
+    distinct sets, ordered exactly as the tie-break orders them. The mask of
+    a set is its cost's residue ``-cost % B``.
+
+    Two exact reductions run first, until neither applies: a target set that
+    holds another is dropped, and so is a drug when another drug of lower
+    cost hits every target it hits (swapping it for that drug lowers the
+    cost of any cover, so the optimum never holds it). The targets left are
+    then bits of their own, in pivot order (fewest drugs, then id tuple),
+    and the search state is the ``int`` of uncovered targets. Each node
+    branches on its lowest uncovered target, most-covering drug first (so
+    the first descent is the greedy cover), and is pruned when a greedy
+    packing of pairwise-disjoint uncovered targets, each paying its cheapest
+    drug, costs at least the best cover found. A branch bans the drugs of
+    its earlier siblings, whose subtrees already hold every cover containing
+    them. The search runs on an explicit stack, so a cover may hold more
+    drugs than the recursion limit.
     """
     n = len(instance.universe)
     bit = {d: 1 << (n - 1 - i) for i, d in enumerate(instance.universe)}
     scale = math.lcm(*(weights[d].denominator for d in instance.universe))
-    cost = {bit[d]: int(weights[d] * scale) for d in instance.universe}
-    targets = sorted(
-        {sum(bit[d] for d in s) for s in instance.family},
-        key=lambda t: (t.bit_count(), -t),
-    )
-    cheapest = {t: min(c for b, c in cost.items() if t & b) for t in targets}
-    best = (sum(cost.values()) + 1, 0, 0)  # worse than any cover
+    B = 1 << n
+    A = B * (n + 2)
+    cost = {bit[d]: int(weights[d] * scale) * A + B - bit[d] for d in instance.universe}
+    targets = {sum(bit[d] for d in s) for s in instance.family}
+    while True:
+        # Pivot order puts a subset before its supersets; a subset of t has
+        # its lowest drug in t.
+        drugs_of, by_low = {}, {}  # target bit (1 << i for the i-th kept) -> drugs
+        for t in sorted(targets, key=lambda t: (t.bit_count(), -t)):
+            if all(k & ~t for b in _bits(t) for k in by_low.get(b, ())):
+                by_low.setdefault(t & -t, []).append(t)
+                drugs_of[1 << len(drugs_of)] = t
+        hits = {}  # drug bit -> its target bits
+        for tb, t in drugs_of.items():
+            for b in _bits(t):
+                hits[b] = hits.get(b, 0) | tb
+        # Cheapest first, so a drug's dominator, if it has one, is already
+        # kept; it hits the drug's first target.
+        left = 0
+        for b in sorted(hits, key=cost.__getitem__):
+            h = hits[b]
+            if all(h & ~hits[k] for k in _bits(drugs_of[h & -h] & left)):
+                left |= b
+        if left.bit_count() == len(hits):
+            break
+        targets = {t & left for t in drugs_of.values()}
+    cheapest = {tb: min(map(cost.__getitem__, _bits(t))) for tb, t in drugs_of.items()}
+    best = sum(cost.values()) + 1  # worse than any cover
 
-    def enter(chosen: int, weight: int, size: int, uncovered: list[int], banned: int):
+    def enter(total: int, uncovered: int, banned: int):
         """A node's frame: its state and its drugs not yet tried, the next
         one last; None for a cover, a node that the bound rules out, or one
         whose drugs are all banned."""
         nonlocal best
         if not uncovered:
-            best = min(best, (weight, size, -chosen))
+            best = min(best, total)
             return None
-        bound, packed = weight, 0
-        for t in uncovered:
+        bound, packed, rest = total, 0, uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = drugs_of[low]
             if not t & packed:
                 packed |= t
-                bound += cheapest[t]
-        if (bound, size + 1) > best[:2]:
-            return None
-        drugs = []
-        free = uncovered[0] & ~banned
-        while free:
-            drugs.append(free & -free)
-            free &= free - 1
+                bound += cheapest[low]
+                if bound >= best:
+                    return None
         # Ascending, as the last is tried first: the most-covering drug, and
         # of those the larger bit, the one earlier in the universe.
-        drugs.sort(key=lambda b: (sum(1 for t in uncovered if t & b), b))
-        return [chosen, weight, size, uncovered, banned, drugs] if drugs else None
+        drugs = sorted(_bits(drugs_of[uncovered & -uncovered] & ~banned),
+                       key=lambda b: ((hits[b] & uncovered).bit_count(), b))
+        return [total, uncovered, banned, drugs] if drugs else None
 
-    root = enter(0, 0, 0, targets, 0)
+    root = enter(0, (1 << len(drugs_of)) - 1, 0)
     stack = [root] if root else []
     while stack:
-        chosen, weight, size, uncovered, banned, drugs = frame = stack[-1]
+        total, uncovered, banned, drugs = frame = stack[-1]
         b = drugs.pop()
         if drugs:
-            frame[4] = banned | b  # the later siblings ban b; this child does not
+            frame[2] = banned | b  # the later siblings ban b; this child does not
         else:
             stack.pop()
-        child = enter(chosen | b, weight + cost[b], size + 1,
-                      [t for t in uncovered if not t & b], banned)
+        child = enter(total + cost[b], uncovered & ~hits[b], banned)
         if child:
             stack.append(child)
-    return frozenset(d for d in instance.universe if -best[2] & bit[d])
+    mask = -best % B
+    return frozenset(d for d in instance.universe if mask & bit[d])
 
 
 def solve_min_weight(instance: HittingSetInstance) -> TreatmentSolution:

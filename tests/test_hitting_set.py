@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,93 @@ class TestOracleAgreement:
             assert a.total_weight == b.total_weight
 
 
+class TestReductionTies:
+    def test_twin_drugs_keep_the_lower_id(self):
+        # Drugs come in groups of twins: the same targets and the same
+        # weight. Only the lowest id of a group may survive the reduction,
+        # and the full drug set must equal the oracle's under both objectives.
+        rng = random.Random(113)
+        group_weights = [0, 0, 1, 2, Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)]
+        for _ in range(200):
+            ids = [f"d{i:02d}" for i in range(rng.randint(2, 10))]
+            rng.shuffle(ids)
+            groups, weights = [], {}
+            while ids:
+                group = [ids.pop() for _ in range(min(len(ids), rng.randint(1, 3)))]
+                w = rng.choice(group_weights)
+                weights.update(dict.fromkeys(group, w))
+                groups.append(group)
+            family = [
+                [d for g in rng.sample(groups, rng.randint(1, len(groups))) for d in g]
+                for _ in range(rng.randint(1, 6))
+            ]
+            inst = hs.make_instance(family, weights)
+            assert hs.solve_min_weight(inst).drugs == oracle_solve(inst, "weight").drugs
+            assert (
+                hs.solve_min_cardinality(inst).drugs
+                == oracle_solve(inst, "cardinality").drugs
+            )
+
+
+def seeded_random_instance(targets, drugs, seed=1):
+    """Each target on 2-6 random drugs, integer weights 1-20: the make-up of
+    the benchmark's random solver instances."""
+    rng = random.Random(f"{seed}-{targets}x{drugs}")
+    names = [f"D{i:03d}" for i in range(drugs)]
+    family = [rng.sample(names, rng.randint(2, 6)) for _ in range(targets)]
+    weights = {d: rng.randint(1, 20) for d in names}
+    return hs.make_instance(family, weights)
+
+
+def treatment_shaped_instance(seed=1):
+    """28 target genes of 40, 60 drugs each on 3-6 genes, weights with two
+    decimals (1 when the table leaves it out): a hypermutated patient."""
+    rng = random.Random(f"treatment-{seed}")
+    drugs_on, weights = {}, {}
+    for k in range(1, 61):
+        d = f"D{k:03d}"
+        weights[d] = Fraction(1) if rng.random() < 0.1 else Fraction(rng.randrange(25, 301), 100)
+        for gene in rng.sample(range(40), rng.randint(3, 6)):
+            drugs_on.setdefault(gene, set()).add(d)
+    family = [drugs_on[gene] for gene in rng.sample(sorted(drugs_on), 28)]
+    return hs.make_instance(family, weights)
+
+
+def drug_ids(numbers):
+    return {f"D{int(i):03d}" for i in numbers.split()}
+
+
+class TestPinnedAnswers:
+    # Beyond the oracle's universe limit: answers recorded from the earlier
+    # tuple-keyed branch and bound, tie-break included.
+    @pytest.mark.parametrize("make, solve, drugs, total", [
+        (lambda: seeded_random_instance(50, 100), hs.solve_min_weight,
+         "3 5 14 19 21 24 27 28 33 40 46 56 66 74 77 84 88 89 91 95", 126),
+        (lambda: seeded_random_instance(50, 100), hs.solve_min_cardinality,
+         "0 2 14 16 18 19 21 23 24 33 34 40 46 62 66 77 84 93 94", 175),
+        (treatment_shaped_instance, hs.solve_min_weight,
+         "1 8 11 12 36 40 48 50 52 56", Fraction(197, 20)),
+        (treatment_shaped_instance, hs.solve_min_cardinality,
+         "1 6 8 11 12 32 40 48 56", Fraction(533, 50)),
+    ], ids=["50x100-weight", "50x100-cardinality", "treatment-weight",
+            "treatment-cardinality"])
+    def test_pinned(self, make, solve, drugs, total):
+        sol = solve(make())
+        assert (sol.drugs, sol.total_weight) == (drug_ids(drugs), total)
+
+    def test_80x150_cardinality_under_a_second(self):
+        inst = seeded_random_instance(80, 150)
+        start = time.perf_counter()
+        sol = hs.solve_min_cardinality(inst)
+        elapsed = time.perf_counter() - start
+        assert sol.drugs == drug_ids(
+            "1 3 6 10 14 15 17 25 28 34 40 50 59 64 66 68 75 80 93 104 109 115"
+            " 124 125 132 137 138 141"
+        )
+        assert sol.total_weight == 320
+        assert elapsed < 1, f"80x150 cardinality took {elapsed:.2f}s"
+
+
 class TestProperties:
     def test_soundness_checked(self):
         rng = random.Random(83)
@@ -232,3 +320,9 @@ class TestTextFormat:
         # the set {"a,b", "c"} would read as {a, b, c}.
         with pytest.raises(errors.InvalidLabel, match="comma in drug id 'a,b'"):
             hs.make_instance([{"a,b", "c"}])
+
+    @pytest.mark.parametrize("weight", [0.1, float("nan"), "1"])
+    def test_weight_that_is_not_exact_is_rejected(self, weight):
+        # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10.
+        with pytest.raises(errors.InvalidLabel, match="weight for a is not an int or a Fraction"):
+            hs.make_instance([{"a", "b"}], {"a": weight})
