@@ -50,7 +50,10 @@ class EmptyPopulation(OncographError):
 
 
 class NotPatientMutation(OncographError):
-    pass
+    """A mutation that the patient does not carry; names both."""
+
+    def __init__(self, mutation, patient_id):
+        super().__init__(f"{mutation} is not a mutation of patient {patient_id}")
 
 
 class Untargetable(OncographError):

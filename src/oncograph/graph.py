@@ -15,11 +15,12 @@ typed edges themselves, and those records are the source of truth;
 ``validate`` reads only them, so it also catches records that bypassed
 ``add_edges``.
 Each edge type whose pairs may not repeat also has an index, first key ->
-{second key: the edge record}: patient -> mutations, disease -> patients,
-disease -> mutations and mutation -> drugs. Duplicate checks and queries
-are lookups in these indexes, and a query reads a label (VAF, GDA score)
-off the record. Treatments may repeat and no query reads them, so they are
-kept as records only.
+{second key: the position of the pair's record in its color's list}:
+patient -> mutations, disease -> patients, disease -> mutations and
+mutation -> drugs. Duplicate checks and queries are lookups in these
+indexes, and a query reads a label (VAF, GDA score) off the record. A
+repeated pair raises, or goes to the caller's ``repeat`` policy. Treatments
+may repeat and no query reads them, so they are kept as records only.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from collections.abc import Iterable, KeysView
+from collections.abc import Callable, Iterable, KeysView
 from fractions import Fraction
 
 from . import errors
@@ -164,11 +165,10 @@ class KnowledgeGraph:
         self._nodes: dict[Partition, dict] = {part: {} for part in Partition}
         self._patients, self._mutations, self._diseases, self._drugs = self._nodes.values()
         self._by_gene: dict[str, set[MutationKey]] = {}
-        self._by_display: dict[str, MutationKey] = {}
         self._records: dict[EdgeColor, list[Edge]] = {c: [] for c in EdgeColor}
         # One index per edge type whose pairs may not repeat, first key ->
-        # {second key: edge}, filled by add_edges alongside the records.
-        self._index: dict[type, dict[object, dict]] = {
+        # {second key: record position}, filled by add_edges with the records.
+        self._index: dict[type, dict[object, dict[object, int]]] = {
             t: {} for t, kind in _EDGE_KINDS.items() if kind.duplicate
         }
 
@@ -192,7 +192,6 @@ class KnowledgeGraph:
         table[key] = node
         if part is Partition.MUTATION:
             self._by_gene.setdefault(node.gene, set()).add(node)
-            self._by_display.setdefault(node.display(), node)
 
     def patient(self, patient_id: str) -> PatientRecord:
         try:
@@ -235,10 +234,10 @@ class KnowledgeGraph:
         """The first-added mutation whose rendering is ``text``: of two loci
         that render alike (a ``_`` inside a gene or chromosome), the one whose
         first accepted row comes first in ``build_graph``'s input."""
-        try:
-            return self._by_display[text]
-        except KeyError:
-            raise errors.UnknownMutation(text) from None
+        for mutation in self._mutations:  # in insertion order
+            if mutation.display() == text:
+                return mutation
+        raise errors.UnknownMutation(text)
 
     def partition_sizes(self) -> dict[str, int]:
         return {
@@ -251,15 +250,17 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Edges
 
-    def add_edges(self, edges: Iterable[Edge]) -> None:
+    def add_edges(self, edges: Iterable[Edge], repeat: Callable | None = None) -> None:
         """Insert typed edges in order, each into its colored set.
 
         At the first edge that breaks a rule, raises InvalidLabel for an
         out-of-range label (checked first, as it depends on the edge alone),
         MissingEndpoint if an endpoint node is absent, or DuplicateEdge for a
         repeated pair of a kind that may not repeat; the edges before it
-        stay inserted. The tables of an edge type are looked up once per run
-        of edges of that type.
+        stay inserted. With ``repeat``, a repeated pair calls ``repeat(held,
+        new)`` instead, and the edge it returns replaces the held record in
+        place. The tables of an edge type are looked up once per run of its
+        edges.
         """
         edge_type = None
         for edge in edges:
@@ -285,8 +286,11 @@ class KnowledgeGraph:
                 if adjacent is None:
                     adjacent = index[a] = {}
                 elif b in adjacent:
-                    raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
-                adjacent[b] = edge
+                    if repeat is None:
+                        raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
+                    records[adjacent[b]] = repeat(records[adjacent[b]], edge)
+                    continue
+                adjacent[b] = len(records)
             records.append(edge)
 
     def edge_records(self, color: EdgeColor) -> list[Edge]:
@@ -310,8 +314,9 @@ class KnowledgeGraph:
     def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
         """The mutations of a disease's magenta edges, with their GDA scores."""
         self.disease(disease_id)
+        records = self._records[EdgeColor.MAGENTA]
         edges = self._index[GdaAssociation].get(disease_id, {})
-        return {m: e.gda_score for m, e in edges.items()}
+        return {m: records[at].gda_score for m, at in edges.items()}
 
     def target_drugs(self, mutation: MutationKey) -> set[str]:
         """Drugs with a known effect on the mutation (its magenta drug edges)."""
@@ -320,7 +325,11 @@ class KnowledgeGraph:
         return set(self._index[TargetEdge].get(mutation, ()))
 
     def vaf(self, patient_id: str, mutation: MutationKey) -> float | None:
-        return self._index[GeneticEdge][patient_id][mutation].vaf
+        self.patient(patient_id)
+        at = self._index[GeneticEdge].get(patient_id, {}).get(mutation)
+        if at is None:
+            raise errors.NotPatientMutation(key_text(mutation), patient_id)
+        return self._records[EdgeColor.GREEN][at].vaf
 
 
 def validate(graph: KnowledgeGraph) -> list[Violation]:

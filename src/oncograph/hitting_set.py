@@ -38,9 +38,8 @@ class HittingSetInstance:
     universe: tuple[str, ...]                 # sorted drug ids
     family: tuple[frozenset[str], ...]        # one non-empty set per mutation
     weights: Mapping[str, Fraction]
-    origin: Mapping[int, MutationKey]         # family index -> its mutation
 
-    def __init__(self, universe, family, weights, origin=None) -> None:
+    def __init__(self, universe, family, weights) -> None:
         u = set(universe)
         for i, s in enumerate(family):
             if not s:
@@ -48,12 +47,10 @@ class HittingSetInstance:
             if not s <= u:
                 raise ValueError(f"family set #{i} not within universe")
         self.universe, self.family, self.weights = universe, family, weights
-        self.origin = {} if origin is None else origin
 
 
-# The chosen drugs, their exact total weight, and each target mutation's
-# chosen drugs.
-TreatmentSolution = namedtuple("TreatmentSolution", "drugs total_weight hits")
+# The chosen drugs and their exact total weight.
+TreatmentSolution = namedtuple("TreatmentSolution", "drugs total_weight")
 
 
 def build_instance(
@@ -70,20 +67,16 @@ def build_instance(
     carried = graph.mutations_of_patient(patient_id)
     targets = sorted(set(target_mutations))
     family = []
-    origin = {}
-    for i, m in enumerate(targets):
+    for m in targets:
         if m not in carried:
-            raise errors.NotPatientMutation(
-                f"{m.display()} is not a mutation of patient {patient_id}"
-            )
+            raise errors.NotPatientMutation(m.display(), patient_id)
         drugs = graph.target_drugs(m)
         if not drugs:
             raise errors.Untargetable(m.display())
         family.append(frozenset(drugs))
-        origin[i] = m
     universe = tuple(sorted(set().union(*family)))
     weights = {d: graph.drug(d).toxicity_weight for d in universe}
-    return HittingSetInstance(universe, tuple(family), weights, origin)
+    return HittingSetInstance(universe, tuple(family), weights)
 
 
 def make_instance(
@@ -118,8 +111,7 @@ def _assemble(instance: HittingSetInstance, drugs: frozenset[str]) -> TreatmentS
         if not s & drugs:  # soundness checked on every call
             raise AssertionError(f"solver output misses family set #{i}")
     total = sum((instance.weights[d] for d in drugs), Fraction(0))
-    hits = {m: instance.family[i] & drugs for i, m in instance.origin.items()}
-    return TreatmentSolution(drugs=drugs, total_weight=total, hits=hits)
+    return TreatmentSolution(drugs=drugs, total_weight=total)
 
 
 def _bits(mask: int):

@@ -358,12 +358,13 @@ def build_graph(
     """Insert the parsed objects into a new knowledge graph.
 
     Patients come first, each with its diagnosis edge (disease nodes are
-    created on first sight). A green edge of a known patient is inserted
-    with its mutation node; duplicates of one (patient, mutation) pair
-    collapse to the edge with the maximum VAF; edges of unknown samples are
-    reported as orphans. Gene-level association and drug target rows fan
-    out to every mutation node on the matching gene. The graph is not
-    validated here: ``graph.validate`` does that.
+    created on first sight). Green edges of known patients stream into one
+    ``add_edges`` call, each mutation node added at its first accepted row;
+    a pair that the green index finds repeated keeps the edge of maximum VAF
+    (None is below any number; a tie keeps the earlier row), and rows of
+    unknown samples are reported as orphans. Gene-level association and drug
+    target rows fan out to every mutation node on the matching gene. The
+    graph is not validated here: ``graph.validate`` does that.
 
     Green edges and their mutation nodes go in unsorted, in the order of
     each pair's first accepted row; the other rows are sorted, which fixes
@@ -386,41 +387,35 @@ def build_graph(
         diagnoses.append(diagnosis)
     graph.add_edges(diagnoses)
 
-    # Collapse duplicate (patient, mutation) edges keeping the max VAF (None
-    # sorts below any number); a pair keeps the place of its first row.
-    best: dict[tuple[str, MutationKey], GeneticEdge] = {}
     orphans = 0
-    patients = graph.patients
-    for edge in mutation_rows:
-        if edge.patient_id not in patients:
-            orphans += 1
-            note("warning", f"orphan mutation row: unknown sample {edge.patient_id}")
-            continue
-        pair = (edge.patient_id, edge.mutation)
-        prev = best.get(pair)
-        if prev is not None:
-            note(
-                "info",
-                f"duplicate mutation row for {edge.patient_id}/"
-                f"{edge.mutation.display()}; max VAF kept",
-            )
-            if prev.vaf is not None and (edge.vaf is None or edge.vaf <= prev.vaf):
+
+    def accepted():
+        nonlocal orphans
+        patients, mutations = graph.patients, graph.mutations
+        for edge in mutation_rows:
+            if edge.patient_id not in patients:
+                orphans += 1
+                note("warning", f"orphan mutation row: unknown sample {edge.patient_id}")
                 continue
-        best[pair] = edge
-    mutations = graph.mutations
-    for edge in best.values():
-        if edge.mutation not in mutations:
-            graph.add_node(edge.mutation)
-    graph.add_edges(best.values())
+            if edge.mutation not in mutations:
+                graph.add_node(edge.mutation)
+            yield edge
+
+    def max_vaf(held: GeneticEdge, new: GeneticEdge) -> GeneticEdge:
+        note("info", f"duplicate mutation row for {new.patient_id}/"
+                     f"{new.mutation.display()}; max VAF kept")
+        if held.vaf is not None and (new.vaf is None or new.vaf <= held.vaf):
+            return held
+        return new
+
+    graph.add_edges(accepted(), repeat=max_vaf)
 
     gda_best: dict[tuple[str, str], Fraction] = {}
     for row in gda_rows:
         key = (row.disease, row.gene)
         if key in gda_best:
             note("warning", f"duplicate gda row {row.gene}/{row.disease}; max score kept")
-            gda_best[key] = max(gda_best[key], row.gda_score)
-        else:
-            gda_best[key] = row.gda_score
+        gda_best[key] = max(gda_best.get(key, row.gda_score), row.gda_score)
     associations = []
     for (disease, gene), score in sorted(gda_best.items()):
         if disease not in graph.diseases:

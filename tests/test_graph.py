@@ -94,6 +94,19 @@ class TestAddEdge:
         with pytest.raises(errors.DuplicateEdge):
             g.add_edges([GeneticEdge("P1", KRAS_MUT, 0.4)])
 
+    def test_vaf_of_an_unknown_patient(self):
+        g = small_graph()
+        with pytest.raises(errors.UnknownNode, match="patient P9"):
+            g.vaf("P9", KRAS_MUT)
+
+    def test_vaf_of_a_mutation_the_patient_lacks(self):
+        g = small_graph()
+        g.add_edges([GeneticEdge("P1", KRAS_MUT, 0.3), GeneticEdge("P2", TERT_MUT, 0.2)])
+        for pid, mutation in (("P1", TERT_MUT), ("P3", KRAS_MUT)):
+            with pytest.raises(errors.NotPatientMutation) as exc:
+                g.vaf(pid, mutation)
+            assert str(exc.value) == f"{mutation.display()} is not a mutation of patient {pid}"
+
 
 class TestDuplicateEdges:
     @pytest.mark.parametrize(
@@ -119,6 +132,44 @@ class TestDuplicateEdges:
         g.add_edges([first])
         g.add_edges([second])
         assert g.edge_records(EdgeColor.RED) == [first, second]
+        assert validate(g) == []
+
+    def test_repeat_policy_replaces_the_held_record_in_place(self):
+        g = small_graph()
+        g.add_node(DiseaseNode("D2"))
+        edges = [
+            GeneticEdge("P1", KRAS_MUT, 0.1),
+            GeneticEdge("P1", TERT_MUT, 0.2),
+            GeneticEdge("P1", KRAS_MUT, 0.5),
+            GeneticEdge("P2", KRAS_MUT, 0.3),
+            GeneticEdge("P1", KRAS_MUT, 0.4),
+        ]
+        calls = []
+
+        def policy(held, new):
+            calls.append((held, new))
+            return GeneticEdge(new.patient_id, new.mutation, held.vaf + new.vaf)
+
+        g.add_edges(edges, repeat=policy)
+        # Once per repeat, with the record held at the time and the new edge.
+        assert len(calls) == 2
+        assert calls[0][0] is edges[0] and calls[0][1] is edges[2]
+        assert calls[1] == (GeneticEdge("P1", KRAS_MUT, 0.1 + 0.5), edges[4])
+        assert calls[1][1] is edges[4]
+        merged = GeneticEdge("P1", KRAS_MUT, 0.1 + 0.5 + 0.4)
+        assert g.edge_records(EdgeColor.GREEN) == [merged, edges[1], edges[3]]
+        assert g.mutations_of_patient("P1") == {KRAS_MUT, TERT_MUT}
+        for e in g.edge_records(EdgeColor.GREEN):
+            assert g.vaf(e.patient_id, e.mutation) == e.vaf
+        # A policy covers the other indexed kinds too, and GDA scores are
+        # read off the record at the pair's position.
+        gda = [GdaAssociation("D2", TERT_MUT, Fraction(1, 4)),
+               GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)),
+               GdaAssociation("D2", TERT_MUT, Fraction(3, 4))]
+        g.add_edges(gda, repeat=lambda held, new: max(held, new, key=lambda e: e.gda_score))
+        assert g.edge_records(EdgeColor.MAGENTA) == [gda[2], gda[1]]
+        assert g.gda_scores("D2") == {TERT_MUT: Fraction(3, 4)}
+        assert g.gda_scores("D1") == {KRAS_MUT: Fraction(1, 2)}
         assert validate(g) == []
 
 

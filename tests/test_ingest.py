@@ -8,6 +8,7 @@ import pytest
 
 from oncograph import (
     DiagnosisEdge,
+    EdgeColor,
     Effectiveness,
     GeneticEdge,
     MutationKey,
@@ -242,6 +243,56 @@ class TestBuildGraph:
         assert g.edge_counts()["green"] == 2
         m = g.mutation_by_display("KRAS_1_100_100")
         assert g.vaf("P1", m) == 0.6
+
+    def test_collapse_rule_pinned(self):
+        # Repeats of each kind, interleaved with orphan rows: an absent VAF
+        # loses to any number, a tie keeps the earlier row, and a pair stays
+        # at its first accepted row even when a later row wins.
+        rows = [
+            mut_row("P1", "KRAS", 100, None),
+            mut_row("P9", "KRAS", 100),  # orphan
+            mut_row("P1", "KRAS", 100, 0.3),  # (None, 0.3): the new row wins
+            mut_row("P1", "TP53", 200, 0.3),
+            mut_row("P2", "KRAS", 100, 0.7),
+            mut_row("P1", "TP53", 200, None),  # (0.3, None): the held row stays
+            mut_row("P9", "EGFR", 300, 0.1),  # orphan on a locus not yet a node
+            mut_row("P2", "KRAS", 100, 0.4),  # lower after higher
+            mut_row("P3", "BRAF", 400, 0.5),
+            mut_row("P3", "BRAF", 400, 0.5),  # equal: the earlier row stays
+            mut_row("P1", "KRAS", 100, 0.9),  # wins; its pair came before P1/TP53
+            mut_row("P9", "BRAF", 400),  # orphan
+            mut_row("P2", "EGFR", 300, 0.2),
+        ]
+        g, report = ingest.build_graph(rows, [clin_row(p) for p in ("P1", "P2", "P3")], [], [])
+        green = g.edge_records(EdgeColor.GREEN)
+        kept = [rows[10], rows[3], rows[4], rows[8], rows[12]]
+        assert green == kept
+        assert all(e is k for e, k in zip(green, kept))
+        kras, tp53, egfr, braf = (rows[i].mutation for i in (0, 3, 6, 8))
+        assert list(g.mutations) == [kras, tp53, braf, egfr]
+        assert [g.vaf(e.patient_id, e.mutation) for e in kept] == [0.9, 0.3, 0.7, 0.5, 0.2]
+
+        def orphan(pid):
+            return ingest.ReportEntry(
+                "build", 0, "warning", f"orphan mutation row: unknown sample {pid}"
+            )
+
+        def repeat(pid, locus):
+            return ingest.ReportEntry(
+                "build", 0, "info", f"duplicate mutation row for {pid}/{locus}; max VAF kept"
+            )
+
+        assert report == [
+            orphan("P9"),
+            repeat("P1", "KRAS_1_100_100"),
+            repeat("P1", "TP53_1_200_200"),
+            orphan("P9"),
+            repeat("P2", "KRAS_1_100_100"),
+            repeat("P3", "BRAF_1_400_400"),
+            repeat("P1", "KRAS_1_100_100"),
+            orphan("P9"),
+            ingest.ReportEntry("build", 0, "warning", "3 orphan mutation row(s) excluded"),
+        ]
 
     def test_loci_that_render_alike_resolve_to_the_first_row(self):
         # Gene A_1 on chromosome 2 and gene A on chromosome 1_2 both render
