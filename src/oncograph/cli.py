@@ -424,8 +424,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except errors.OncographError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DOMAIN

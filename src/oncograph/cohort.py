@@ -320,6 +320,7 @@ def frequency_table(
     gene_without_multiplicity: patients with >= 1 mutation on the gene over
     the patient count.
     """
+    _check_top_n(top_n)
     if not profiles:
         raise errors.EmptyPopulation("no profiles")
     if mode is FrequencyMode.GENE_WITHOUT_MULTIPLICITY:
@@ -336,6 +337,11 @@ def frequency_table(
     if top_n is not None:
         rows = rows[:top_n]
     return tuple((key_text(item), Fraction(100 * c, denominator)) for item, c in rows)
+
+
+def _check_top_n(top_n: int | None) -> None:
+    if top_n is not None and top_n < 0:
+        raise ValueError(f"top_n {top_n} must be >= 0")
 
 
 def _gene_of(item) -> str:
@@ -357,8 +363,10 @@ def co_mutation_survival_table(
     the pair; for every gene mutated in that sub-population, reports the
     percentage of carriers and, among carriers, the living/deceased split.
     """
+    _check_top_n(top_n)
+    genes = {m.gene for m in graph.mutations}
     for gene in gene_pair:
-        if not graph.mutations_of_gene(gene):
+        if gene not in genes:
             raise errors.UnknownGene(gene)
     cohort = [
         p for p in profiles_from_graph(graph, gene_level=True)

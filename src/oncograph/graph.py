@@ -21,6 +21,7 @@ mutation -> drugs. Duplicate checks and queries are lookups in these
 indexes, and a query reads a label (VAF, GDA score) off the record. A
 repeated pair raises, or goes to the caller's ``repeat`` policy. Treatments
 may repeat and no query reads them, so they are kept as records only.
+The graph keeps no other index, none by gene.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -164,7 +165,6 @@ class KnowledgeGraph:
         # One table per partition, key -> node; the queries name them.
         self._nodes: dict[Partition, dict] = {part: {} for part in Partition}
         self._patients, self._mutations, self._diseases, self._drugs = self._nodes.values()
-        self._by_gene: dict[str, set[MutationKey]] = {}
         self._records: dict[EdgeColor, list[Edge]] = {c: [] for c in EdgeColor}
         # One index per edge type whose pairs may not repeat, first key ->
         # {second key: record position}, filled by add_edges with the records.
@@ -190,8 +190,6 @@ class KnowledgeGraph:
         if issue:
             raise errors.InvalidLabel(issue)
         table[key] = node
-        if part is Partition.MUTATION:
-            self._by_gene.setdefault(node.gene, set()).add(node)
 
     def patient(self, patient_id: str) -> PatientRecord:
         try:
@@ -226,9 +224,6 @@ class KnowledgeGraph:
     @property
     def drugs(self) -> dict[str, DrugNode]:
         return self._drugs
-
-    def mutations_of_gene(self, gene: str) -> set[MutationKey]:
-        return set(self._by_gene.get(gene, ()))
 
     def mutation_by_display(self, text: str) -> MutationKey:
         """The first-added mutation whose rendering is ``text``: of two loci

@@ -17,8 +17,10 @@ case, but target sets are small in practice.
 Tie-breaking is fixed everywhere: total weight, then cardinality, then the
 lexicographically smallest sorted drug-id tuple.
 
-Instances come from a patient's graph neighborhood (``build_instance``) or
-from bare drug-id sets (``make_instance``); they have no file format.
+An instance is a named tuple, and ``make_instance`` is the only code that
+forms one: it checks the target sets and the weights. ``build_instance``
+reads a patient's target drug sets and the drug weights off the graph and
+passes them to it. Instances have no file format.
 """
 
 from __future__ import annotations
@@ -32,23 +34,9 @@ from . import errors
 from .graph import KnowledgeGraph, MutationKey
 
 
-class HittingSetInstance:
-    """Target sets over a universe of drugs, checked when the instance is made."""
-
-    universe: tuple[str, ...]                 # sorted drug ids
-    family: tuple[frozenset[str], ...]        # one non-empty set per mutation
-    weights: Mapping[str, Fraction]
-
-    def __init__(self, universe, family, weights) -> None:
-        u = set(universe)
-        for i, s in enumerate(family):
-            if not s:
-                raise errors.Untargetable(f"set #{i}")
-            if not s <= u:
-                raise ValueError(f"family set #{i} not within universe")
-        self.universe, self.family, self.weights = universe, family, weights
-
-
+# The sorted drug ids, one non-empty drug set per target mutation, and each
+# drug's exact weight; only make_instance forms one.
+HittingSetInstance = namedtuple("HittingSetInstance", "universe family weights")
 # The chosen drugs and their exact total weight.
 TreatmentSolution = namedtuple("TreatmentSolution", "drugs total_weight")
 
@@ -62,35 +50,38 @@ def build_instance(
 
     The universe is restricted to the union of the per-mutation drug sets
     (equivalent optimum, smaller search space); weights come from the drug
-    nodes' toxicity weights.
+    nodes' toxicity weights, and ``make_instance`` checks both.
     """
     carried = graph.mutations_of_patient(patient_id)
-    targets = sorted(set(target_mutations))
     family = []
-    for m in targets:
+    for m in sorted(set(target_mutations)):
         if m not in carried:
             raise errors.NotPatientMutation(m.display(), patient_id)
         drugs = graph.target_drugs(m)
         if not drugs:
             raise errors.Untargetable(m.display())
-        family.append(frozenset(drugs))
-    universe = tuple(sorted(set().union(*family)))
-    weights = {d: graph.drug(d).toxicity_weight for d in universe}
-    return HittingSetInstance(universe, tuple(family), weights)
+        family.append(drugs)
+    weights = {d: graph.drug(d).toxicity_weight for d in set().union(*family)}
+    return make_instance(family, weights)
 
 
 def make_instance(
     family: Iterable[Iterable[str]],
     weights: Mapping[str, Fraction | int] | None = None,
 ) -> HittingSetInstance:
-    """Instance from bare drug-id sets; missing weights default to 1.
+    """Instance from drug-id sets; missing weights default to 1.
 
-    A drug id may not contain a comma: ids follow the rule of the parse
-    boundary, where ids are comma-joined in outputs and ``treat --targets``.
+    Every set must be non-empty (``Untargetable`` names the first empty
+    one by its position). A drug id may not contain a comma: ids follow the
+    rule of the parse boundary, where ids are comma-joined in outputs and
+    ``treat --targets``.
     A weight must be an ``int`` or a ``Fraction``: a float is a binary
     fraction, not the decimal it was written as.
     """
     fam = tuple(frozenset(s) for s in family)
+    for i, s in enumerate(fam):
+        if not s:
+            raise errors.Untargetable(f"set #{i}")
     universe = tuple(sorted(set().union(*fam)))
     for d in universe:
         if "," in d:

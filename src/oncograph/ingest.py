@@ -363,8 +363,9 @@ def build_graph(
     a pair that the green index finds repeated keeps the edge of maximum VAF
     (None is below any number; a tie keeps the earlier row), and rows of
     unknown samples are reported as orphans. Gene-level association and drug
-    target rows fan out to every mutation node on the matching gene. The
-    graph is not validated here: ``graph.validate`` does that.
+    target rows fan out to every mutation node on their gene, through one
+    gene -> nodes map made after the green pass. The graph is not validated
+    here: ``graph.validate`` does that.
 
     Green edges and their mutation nodes go in unsorted, in the order of
     each pair's first accepted row; the other rows are sorted, which fixes
@@ -409,6 +410,9 @@ def build_graph(
         return new
 
     graph.add_edges(accepted(), repeat=max_vaf)
+    by_gene: dict[str, list[MutationKey]] = {}
+    for mutation in graph.mutations:
+        by_gene.setdefault(mutation.gene, []).append(mutation)
 
     gda_best: dict[tuple[str, str], Fraction] = {}
     for row in gda_rows:
@@ -420,7 +424,7 @@ def build_graph(
     for (disease, gene), score in sorted(gda_best.items()):
         if disease not in graph.diseases:
             graph.add_node(DiseaseNode(disease))
-        matches = graph.mutations_of_gene(gene)
+        matches = by_gene.get(gene)
         if not matches:
             note("info", f"gda row {gene}/{disease}: no mutation node on gene {gene}")
             continue
@@ -444,10 +448,10 @@ def build_graph(
         graph.add_node(DrugNode(drug_id, spec.adverse_effects, weight))
         targeted = set()
         for gene in drug_genes[drug_id]:
-            matches = graph.mutations_of_gene(gene)
+            matches = by_gene.get(gene, ())
             if not matches:
                 note("info", f"drug row {drug_id}/{gene}: no mutation node on gene {gene}")
-            targeted |= matches
+            targeted.update(matches)
         targets += [TargetEdge(mutation, drug_id) for mutation in sorted(targeted)]
     graph.add_edges(targets)
 

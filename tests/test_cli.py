@@ -70,6 +70,47 @@ class TestExitCodes:
         assert run(["coexist"] + fixture_args(tmp_path)) == 64  # --k required
         assert run(["frobnicate"]) == 64
 
+    def test_missing_input_option_is_64(self, tmp_path, capsys):
+        args = fixture_args(tmp_path / "out")
+        at = args.index("--clinical")
+        del args[at:at + 2]
+        assert run(["build"] + args) == 64
+        assert capsys.readouterr().err == "missing required input: --clinical\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(["build"] + fixture_args(out)) == 2
+        assert "File exists" in capsys.readouterr().err
+
+    def test_freq_of_one_disease(self, tmp_path):
+        args = write_inputs(tmp_path, [], [("P1", "KRAS"), ("P2", "EGFR")])
+        (tmp_path / "clinical.tsv").write_text(
+            "sample_id\tcancer_type\tos_months\tos_status\n"
+            "P1\tLUAD\t12\tliving\nP2\tCOAD\t12\tliving\n"
+        )
+        assert run(["freq", "--disease", "LUAD"] + args) == 0
+        assert (tmp_path / "out" / "frequency.tsv").read_text() == (
+            "item\tpercent\nKRAS_1_100_100\t100.0\n"
+        )
+
+    def test_freq_of_an_unknown_disease_is_3(self, tmp_path, capsys):
+        assert run(["freq", "--disease", "NOPE"] + fixture_args(tmp_path)) == 3
+        assert capsys.readouterr().err == "unknown disease NOPE\n"
+        assert not (tmp_path / "frequency.tsv").exists()
+
+    def test_freq_of_the_long_band(self, tmp_path):
+        # P1 (40 months) and P2 (36) are the long survivors of the fixture.
+        assert run(["freq", "--band", "long"] + fixture_args(tmp_path)) == 0
+        assert (tmp_path / "frequency.tsv").read_text() == (
+            "item\tpercent\n"
+            "EGFR_7_55259515_55259515\t33.3\n"
+            "KRAS_12_25398284_25398284\t33.3\n"
+            "TP53_17_7577120_7577120\t16.7\n"
+            "TP53_17_7578406_7578406\t16.7\n"
+        )
+
     def test_untargetable_mutation_is_3(self, tmp_path, capsys):
         # TP53 has no targeting drug in the fixture
         args = fixture_args(tmp_path) + [

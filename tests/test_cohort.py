@@ -382,6 +382,13 @@ class TestFrequencyTable:
         with pytest.raises(errors.EmptyPopulation):
             frequency_table([], FrequencyMode.MUTATION)
 
+    def test_negative_top_n_is_refused(self):
+        # rows[:-1] would drop the last row: on a one-row table, every row.
+        ps = [MutationProfile("P1", frozenset([make_mutation("G", 1)]))]
+        assert frequency_table(ps, top_n=0) == ()
+        with pytest.raises(ValueError, match=r"^top_n -1 must be >= 0$"):
+            frequency_table(ps, top_n=-1)
+
     def test_rounding_half_up_at_render_only(self):
         assert format_percent(Fraction(200, 3)) == "66.7"
         assert format_percent(Fraction(100, 6)) == "16.7"
@@ -429,6 +436,12 @@ class TestCoMutationSurvival:
         g = self.make_graph({"P1": (True, [("E", 1)])})
         with pytest.raises(errors.UnknownGene):
             co_mutation_survival_table(g, ("E", "NOPE"))
+
+    def test_negative_top_n_is_refused(self):
+        g = self.make_graph({"P1": (True, [("E", 1), ("K", 2)])})
+        assert len(co_mutation_survival_table(g, ("E", "K"))) == 2
+        with pytest.raises(ValueError, match=r"^top_n -1 must be >= 0$"):
+            co_mutation_survival_table(g, ("E", "K"), top_n=-1)
 
     def test_living_plus_deceased_is_100(self):
         rng = random.Random(61)

@@ -455,7 +455,7 @@ class TestRecords:
             ingest.ReportEntry, ingest.GdaTableRow, ingest.DrugTargetTableRow,
             cohort.MutationProfile, cohort.SurvivalPartition, cohort.CoexistenceSet,
             cohort.CoMutationRow, knowledge.DiseaseEvidence, knowledge.ConsistencyVerdict,
-            hitting_set.TreatmentSolution,
+            hitting_set.TreatmentSolution, hitting_set.HittingSetInstance,
         ],
     )
     def test_fields_cannot_be_set(self, record_type):

@@ -73,6 +73,19 @@ class TestInstanceConstruction:
         with pytest.raises(errors.NotPatientMutation):
             hs.build_instance(g, "P2", [M1])
 
+    def test_float_weight_on_a_graph_drug_is_rejected(self):
+        # add_node takes the float; the instance, like make_instance's, does not.
+        g = target_graph()
+        g.add_node(DrugNode("d4", None, 0.5))
+        g.add_edges([TargetEdge(M3, "d4")])
+        with pytest.raises(errors.InvalidLabel, match="weight for d4 is not an int or a Fraction"):
+            hs.build_instance(g, "P1", [M3])
+
+    def test_empty_set_is_untargetable_by_position(self):
+        with pytest.raises(errors.Untargetable) as exc:
+            hs.make_instance([{"a"}, set()])
+        assert str(exc.value) == "untargetable mutation set #1"
+
 
 class TestSolvers:
     def test_common_element_wins(self):

@@ -319,6 +319,56 @@ class TestBuildGraph:
         assert g.edge_counts()["green"] == 0
         assert any("orphan" in e.message for e in report)
 
+    def test_treatment_rows_sorted_unknown_sample_and_drug_noted(self):
+        rows = [
+            TreatmentEdge("P2", "d1", 0, Effectiveness.POSITIVE),
+            TreatmentEdge("P1", "d2", 1, Effectiveness.REDUCED),
+            TreatmentEdge("P9", "d1", 0, Effectiveness.POSITIVE),  # unknown sample
+            TreatmentEdge("P1", "d1", 1, Effectiveness.UNALTERED),
+            TreatmentEdge("P1", "d9", 0, Effectiveness.NEGATIVE),  # unknown drug
+            TreatmentEdge("P1", "d2", 0, Effectiveness.POSITIVE),
+        ]
+        g, report = ingest.build_graph(
+            [], [clin_row("P1"), clin_row("P2")], [],
+            [ingest.DrugTargetTableRow("d1", "KRAS"), ingest.DrugTargetTableRow("d2", "KRAS")],
+            rows,
+        )
+        treatments = [e for e in g.edge_records(EdgeColor.RED) if type(e) is TreatmentEdge]
+        assert treatments == [rows[5], rows[3], rows[1], rows[0]]
+        assert g.edge_counts()["red"] == 2 + 4  # two diagnoses, four treatments
+        assert [e.message for e in report if e.severity == "warning"] == [
+            "treatment row for unknown drug d9",
+            "treatment row for unknown sample P9",
+        ]
+
+    def test_duplicate_clinical_row_keeps_the_first(self):
+        g, report = ingest.build_graph(
+            [], [clin_row("P1", months=10.0), clin_row("P1", months=20.0)], [], []
+        )
+        assert g.patient("P1").survival_months == 10
+        assert g.edge_counts()["red"] == 1
+        assert report == [ingest.ReportEntry(
+            "build", 0, "warning", "duplicate clinical row for P1; first kept"
+        )]
+
+    def test_conflicting_drug_weight_keeps_the_first(self):
+        drugs = [
+            ingest.DrugTargetTableRow("d1", "KRAS", Fraction(2)),
+            ingest.DrugTargetTableRow("d1", "EGFR", Fraction(2)),  # equal: no note
+            ingest.DrugTargetTableRow("d1", "TP53", None),  # no weight: no note
+            ingest.DrugTargetTableRow("d1", "BRAF", Fraction(3)),
+        ]
+        g, report = ingest.build_graph(
+            [mut_row("P1", "KRAS", 100), mut_row("P1", "EGFR", 200),
+             mut_row("P1", "TP53", 300), mut_row("P1", "BRAF", 400)],
+            [clin_row("P1")], [], drugs,
+        )
+        assert g.drug("d1").toxicity_weight == 2
+        assert len(g.edge_records(EdgeColor.MAGENTA)) == 4
+        assert report == [ingest.ReportEntry(
+            "build", 0, "warning", "conflicting weight for drug d1; first kept"
+        )]
+
     def test_output_always_validates(self):
         rng = random.Random(3)
         genes = ["KRAS", "TP53", "EGFR"]
