@@ -383,6 +383,8 @@ def key_text(key) -> str:
 def _node_issue(node) -> str | None:
     """The rule of its partition that a node breaks, if any."""
     if isinstance(node, PatientRecord):
+        if not isinstance(node.survival_months, int):
+            return f"patient {node.patient_id}: survival {node.survival_months!r} is not an int"
         if node.survival_months < 0:
             return f"patient {node.patient_id}: negative survival"
     elif isinstance(node, MutationKey):
@@ -391,6 +393,8 @@ def _node_issue(node) -> str | None:
         if node.start > node.end or node.start < 0:
             return f"mutation {node.display()}: bad locus range"
     elif isinstance(node, DrugNode):
+        if not isinstance(node.toxicity_weight, (int, Fraction)):
+            return f"drug {node.drug_id}: weight {node.toxicity_weight!r} is not int or Fraction"
         if node.toxicity_weight < 0:
             return f"drug {node.drug_id}: negative weight"
     return None

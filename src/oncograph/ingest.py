@@ -193,6 +193,19 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     return result
 
 
+def _number(read, text: str, what: str, kind: str = "non-numeric"):
+    """``read(text)`` for an ASCII text with no ``_``; raises ValueError
+    ``{kind} {what} '{text}'`` for any other, or one that ``read`` refuses.
+    int, float, Decimal and Fraction read ``1_0`` as 10 (Fraction from
+    Python 3.11 on) and any Unicode digit (``１２`` as 12); no number does."""
+    if text.isascii() and "_" not in text:
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError, decimal.InvalidOperation):
+            pass
+    raise ValueError(f"{kind} {what} '{text}'")
+
+
 def exact_number(text: str, what: str = "number") -> Fraction:
     """The exact value of a decimal text, or of ``a/b``, never through a float.
 
@@ -201,19 +214,13 @@ def exact_number(text: str, what: str = "number") -> Fraction:
     (``_MAX_DIGITS``) decimal places and as many digits before the point,
     where each of ``a`` and ``b`` counts as digits before the point. Raises
     ValueError, naming ``what``, for text out of these bounds or that
-    Fraction does not read. An ``_`` is refused on every Python, though
-    Fraction reads ``1_0`` as 10 from 3.11 on.
+    ``_number`` refuses.
     """
-    if "_" in text:
-        raise ValueError(f"non-numeric {what} '{text}'")
     num, slash, den = text.partition("/")
     if slash:
         places, before = 0, max(len(num.strip().lstrip("+-")), len(den.strip()))
     else:
-        try:
-            _, digits, exponent = decimal.Decimal(text).as_tuple()
-        except decimal.InvalidOperation:
-            raise ValueError(f"non-numeric {what} '{text}'") from None
+        _, digits, exponent = _number(decimal.Decimal, text, what).as_tuple()
         if not isinstance(exponent, int):  # NaN or infinity: Fraction says no
             exponent, digits = 0, ()
         places, before = -exponent, len(digits) + exponent
@@ -221,10 +228,7 @@ def exact_number(text: str, what: str = "number") -> Fraction:
         raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} decimal places")
     if before > _MAX_DIGITS:
         raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} digits before the point")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"non-numeric {what} '{text}'") from None
+    return _number(Fraction, text, what)
 
 
 def _unit_interval(column: str, text: str) -> float:
@@ -233,12 +237,7 @@ def _unit_interval(column: str, text: str) -> float:
     Rounding to a float is monotonic, so only a float of exactly 0.0 or 1.0
     can hide an out-of-range text; only then is the text compared exactly.
     """
-    try:
-        if "_" in text:  # float reads 1_0 as 10; a cell never does
-            raise ValueError
-        approx = float(text)
-    except ValueError:
-        raise ValueError(f"non-numeric {column} '{text}'") from None
+    approx = _number(float, text, column)
     if not 0.0 <= approx <= 1.0:
         raise ValueError(f"{column} {approx} outside [0, 1]")
     if approx in (0.0, 1.0) and not 0 <= decimal.Decimal(text) <= 1:
@@ -247,14 +246,9 @@ def _unit_interval(column: str, text: str) -> float:
 
 
 def whole_number(text: str, what: str) -> int:
-    """The int of a decimal text; raises ValueError, naming ``what``, for any
-    other, ``_`` included, which int reads as a digit separator."""
-    if "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise ValueError(f"non-integer {what} '{text}'")
+    """The int of a decimal text, read by ``_number``; raises ValueError,
+    naming ``what``, for any other."""
+    return _number(int, text, what, "non-integer")
 
 
 def parse_mutation_table(source) -> ParseResult:
@@ -294,10 +288,7 @@ def parse_clinical_table(source) -> ParseResult:
     whole months; the disease is the verbatim cancer type."""
 
     def row_fn(pid, cancer_type, os_months, os_status):
-        try:
-            months = math.nan if "_" in os_months else float(os_months)
-        except ValueError:
-            months = math.nan
+        months = _number(float, os_months, "os_months")
         if not math.isfinite(months):
             raise ValueError(f"non-numeric os_months '{os_months}'")
         if months < 0:
@@ -364,8 +355,8 @@ def build_graph(
     (None is below any number; a tie keeps the earlier row), and rows of
     unknown samples are reported as orphans. Gene-level association and drug
     target rows fan out to every mutation node on their gene, through one
-    gene -> nodes map made after the green pass. The graph is not validated
-    here: ``graph.validate`` does that.
+    gene -> nodes map made after the green pass. The inserts check every
+    rule of the graph, so a graph it returns is one ``graph.validate`` passes.
 
     Green edges and their mutation nodes go in unsorted, in the order of
     each pair's first accepted row; the other rows are sorted, which fixes

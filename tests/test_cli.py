@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oncograph import cli, cohort
+from oncograph import cli, cohort, errors, ingest, validate
 
 from conftest import FIXTURES, GOLDEN, REPO
 from test_runtime import COMMANDS
@@ -362,12 +362,26 @@ TREATMENT_HEADER = "sample_id\tdrug_id\torder\teffectiveness\n"
         (None, ["freq", "--top-n", "1_0"], "argument --top-n: non-integer value '1_0'"),
         (None, ["freq", "--t-long", "3_6"], "argument --t-long: non-integer value '3_6'"),
         (None, ["cohort", "--t-short", "1_0"], "argument --t-short: non-integer value '1_0'"),
+        # Digits other than ASCII ones: fullwidth, Arabic-Indic.
+        ("mutations", "P1\tKRAS\t12\t１２\t12\t0.5", "non-integer start_position '１２'"),
+        ("mutations", "P1\tKRAS\t12\t10\t10\t٠.٥", "non-numeric vaf '٠.٥'"),
+        ("clinical", "P9\tLUAD\t٣٦\tliving", "non-numeric os_months '٣٦'"),
+        ("gda", "KRAS\tLUAD\t٠.٥", "non-numeric gda_score '٠.٥'"),
+        ("drugs", "d9\tKRAS\t１/２", "non-numeric weight '１/２'"),
+        ("treatments", "P1\tsotorasib\t١\tp", "non-integer order '١'"),
+        (None, ["freq", "--top-n", "１０"], "argument --top-n: non-integer value '１０'"),
+        (None, ["cohort", "--k", "٢"], "argument --k: non-numeric value '٢'"),
     ],
-    ids=["start", "end", "vaf", "os_months", "order", "top-n", "t-long", "t-short"],
+    ids=[
+        "start", "end", "vaf", "os_months", "order", "top-n", "t-long", "t-short",
+        "start-fullwidth", "vaf-arabic", "os_months-arabic", "gda_score-arabic",
+        "weight-fullwidth", "order-arabic", "top-n-fullwidth", "k-arabic",
+    ],
 )
 def test_underscore_is_refused_in_every_number(tmp_path, table, extra, message, capsys):
-    """int and float read ``1_0`` as 10; a cell is a malformed row, and an
-    option a usage error that keeps the reason."""
+    """int and float read ``1_0`` as 10, and any Unicode digit (``１２`` as
+    12); a cell is a malformed row, and an option a usage error that keeps
+    the reason."""
     out = tmp_path / "out"
     if table is None:
         assert run(extra + fixture_args(out)) == 64
@@ -377,9 +391,9 @@ def test_underscore_is_refused_in_every_number(tmp_path, table, extra, message, 
     path = tmp_path / f"{table}.tsv"
     fixture = FIXTURES / f"{table}.tsv"
     head = fixture.read_text() if fixture.exists() else TREATMENT_HEADER
-    path.write_text(head + extra + "\n")
+    path.write_text(head + extra + "\n", encoding="utf-8")
     assert run(["build"] + fixture_args(out) + [f"--{table}={path}"]) == 0
-    report = (out / "build_report.tsv").read_text().splitlines()
+    report = (out / "build_report.tsv").read_text(encoding="utf-8").splitlines()
     assert f"{path}\t{len(head.splitlines()) + 1}\terror\t{message}" in report
 
 
@@ -556,25 +570,87 @@ TABLE_CONTENT = st.one_of(
 )
 
 
+HEADERS = {table: (FIXTURES / f"{table}.tsv").read_text().splitlines()[1] for table in TABLES}
+HEADERS["treatments"] = TREATMENT_HEADER.rstrip("\n")
+# A treatments table is fuzzed like the others, or is rows of fixture
+# patients and drugs, so that some reach the red insert.
+TREATMENT_ROW = st.tuples(
+    st.sampled_from(["P1", "P2", "P9"]),
+    st.sampled_from(["sotorasib", "erlotinib", "d9"]),
+    st.sampled_from(["0", "1", "2", "-1", "x"]),
+    st.sampled_from(["p", "N", "u", "r", "x"]),
+).map(list)
+TREATMENT_CONTENT = st.one_of(
+    TABLE_CONTENT, st.tuples(st.just(True), st.lists(TREATMENT_ROW, max_size=6))
+)
+
+
+def write_tables(tmp: Path, tables) -> dict:
+    """Writes each fuzzed table (table -> TABLE_CONTENT) into ``tmp``;
+    returns table -> path."""
+    paths = {}
+    for table, content in tables.items():
+        if not isinstance(content, bytes):
+            keep_header, rows = content
+            lines = ["\t".join(cells) for cells in rows]
+            if keep_header:
+                lines.insert(0, HEADERS[table])
+            content = "\n".join(lines).encode()
+        paths[table] = tmp / f"{table}.tsv"
+        paths[table].write_bytes(content)
+    return paths
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.dictionaries(st.sampled_from(TABLES), TABLE_CONTENT, min_size=1))
 def test_fuzzed_inputs_exit_with_a_documented_code(tables):
-    """Whatever is in the input tables, every subcommand exits 0, 1, 2, 3
-    or 64, never with a traceback."""
+    """Whatever is in the input tables, every subcommand exits 0, 2, 3 or
+    64, never with a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for table, content in tables.items():
-            if not isinstance(content, bytes):
-                keep_header, rows = content
-                lines = ["\t".join(cells) for cells in rows]
-                if keep_header:
-                    lines.insert(0, (FIXTURES / f"{table}.tsv").read_text().splitlines()[1])
-                content = "\n".join(lines).encode()
-            paths[table] = Path(tmp) / f"{table}.tsv"
-            paths[table].write_bytes(content)
+        paths = write_tables(Path(tmp), tables)
         for command in SUBCOMMANDS:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = run(command + fixture_args(Path(tmp) / "out", **paths))
-            assert code in {0, 1, 2, 3, 64}, (command, code, err.getvalue())
+            assert code in {0, 2, 3, 64}, (command, code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+PARSERS = {
+    "mutations": ingest.parse_mutation_table,
+    "clinical": ingest.parse_clinical_table,
+    "gda": ingest.parse_gda_table,
+    "drugs": ingest.parse_drug_target_table,
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(TABLES), TABLE_CONTENT, min_size=1),
+    st.none() | TREATMENT_CONTENT,
+)
+def test_built_graph_always_validates(tables, treatments):
+    """build_graph inserts only through add_node and add_edges, which refuse
+    whatever validate would report, so every graph it returns validates
+    clean, and build does not validate it again. A table that cannot be
+    read (no header, not UTF-8) is replaced by its fixture; a treatments
+    table, by none."""
+    if treatments is not None:
+        tables = {**tables, "treatments": treatments}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_tables(Path(tmp), tables)
+        rows = []
+        for table in TABLES:
+            try:
+                parsed = PARSERS[table](paths.get(table, FIXTURES / f"{table}.tsv"))
+            except (errors.MissingColumn, errors.InvalidEncoding):
+                parsed = PARSERS[table](FIXTURES / f"{table}.tsv")
+            rows.append(parsed.rows)
+        treatment_rows = None
+        if "treatments" in paths:
+            try:
+                treatment_rows = ingest.parse_treatment_table(paths["treatments"]).rows
+            except (errors.MissingColumn, errors.InvalidEncoding):
+                pass
+    graph, _ = ingest.build_graph(*rows, treatment_rows)
+    assert validate(graph) == []

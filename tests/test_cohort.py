@@ -217,6 +217,17 @@ class TestGroupingOracle:
         with pytest.raises(ValueError, match="unknown metric 'cosine'"):
             group_by_threshold([prof("P1", "a")], "cosine", 1)
 
+    @pytest.mark.parametrize(
+        "k, strategy, exc, message",
+        [
+            (-1, "components", errors.InvalidThresholds, "^k must be >= 0$"),
+            (1, "louvain", ValueError, "^unknown strategy 'louvain'$"),
+        ],
+    )
+    def test_negative_k_and_unknown_strategy(self, k, strategy, exc, message):
+        with pytest.raises(exc, match=message):
+            group_by_threshold([prof("P1", "a")], "hamming", k, strategy)
+
 
 class TestSurvivalPartition:
     def make_graph(self, records):
@@ -381,6 +392,13 @@ class TestFrequencyTable:
     def test_empty_population(self):
         with pytest.raises(errors.EmptyPopulation):
             frequency_table([], FrequencyMode.MUTATION)
+
+    @pytest.mark.parametrize(
+        "mode", [FrequencyMode.MUTATION, FrequencyMode.GENE_WITH_MULTIPLICITY]
+    )
+    def test_profiles_without_mutations(self, mode):
+        with pytest.raises(errors.EmptyPopulation, match="^profiles carry no mutations$"):
+            frequency_table([prof("P1"), prof("P2")], mode)
 
     def test_negative_top_n_is_refused(self):
         # rows[:-1] would drop the last row: on a one-row table, every row.

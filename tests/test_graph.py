@@ -239,6 +239,19 @@ class TestNeighbors:
         g.add_edges([TargetEdge(KRAS_MUT, "drugB")])
         assert g.target_drugs(KRAS_MUT) == {"drugA", "drugB"}
 
+    @pytest.mark.parametrize(
+        "query, key, exc, text",
+        [
+            ("drug", "NOPE", errors.UnknownNode, "drug NOPE"),
+            ("target_drugs", MutationKey("GHOST", "9", 5, 5), errors.UnknownMutation,
+             "GHOST_9_5_5"),
+        ],
+    )
+    def test_unknown_key(self, query, key, exc, text):
+        with pytest.raises(exc) as raised:
+            getattr(small_graph(), query)(key)
+        assert str(raised.value) == text
+
 
 GHOST_MUT = MutationKey("GHOST", "9", 5, 5)
 COLOR_OF = {
@@ -392,6 +405,12 @@ class TestOneStatementPerRule:
             (MutationKey("KRAS", "12", 10, 5), "_mutations", None),
             (MutationKey("KRAS", "12", -2, 5), "_mutations", None),
             (DrugNode("BAD", toxicity_weight=Fraction(-1)), "_drugs", "BAD"),
+            # Survival is whole months and a weight exact, so neither may be a
+            # float, and neither may be absent.
+            (PatientRecord("P", None, True), "_patients", "P"),
+            (PatientRecord("P", 1.5, True), "_patients", "P"),
+            (DrugNode("a", None, 0.5), "_drugs", "a"),
+            (DrugNode("b", None, None), "_drugs", "b"),
         ],
     )
     def test_node_rules(self, node, table, key):

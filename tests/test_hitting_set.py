@@ -74,12 +74,10 @@ class TestInstanceConstruction:
             hs.build_instance(g, "P2", [M1])
 
     def test_float_weight_on_a_graph_drug_is_rejected(self):
-        # add_node takes the float; the instance, like make_instance's, does not.
+        # add_node refuses the float, as make_instance does for bare drug sets.
         g = target_graph()
-        g.add_node(DrugNode("d4", None, 0.5))
-        g.add_edges([TargetEdge(M3, "d4")])
-        with pytest.raises(errors.InvalidLabel, match="weight for d4 is not an int or a Fraction"):
-            hs.build_instance(g, "P1", [M3])
+        with pytest.raises(errors.InvalidLabel, match="^drug d4: weight 0.5 is not int or"):
+            g.add_node(DrugNode("d4", None, 0.5))
 
     def test_empty_set_is_untargetable_by_position(self):
         with pytest.raises(errors.Untargetable) as exc:
@@ -331,6 +329,10 @@ class TestTextFormat:
         # the set {"a,b", "c"} would read as {a, b, c}.
         with pytest.raises(errors.InvalidLabel, match="comma in drug id 'a,b'"):
             hs.make_instance([{"a,b", "c"}])
+
+    def test_negative_weight_is_rejected(self):
+        with pytest.raises(errors.InvalidLabel, match="^negative weight for a$"):
+            hs.make_instance([{"a", "b"}], {"a": Fraction(-1, 2)})
 
     @pytest.mark.parametrize("weight", [0.1, float("nan"), "1"])
     def test_weight_that_is_not_exact_is_rejected(self, weight):

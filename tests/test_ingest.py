@@ -205,9 +205,10 @@ class TestOtherParsers:
             (7, "non-numeric weight 'abc'"),
         ]
 
-    @pytest.mark.parametrize("text", ["1_0", "1/1_0", "0.0_1"])
+    @pytest.mark.parametrize("text", ["1_0", "1/1_0", "0.0_1", "１/２", "٠.٥", "1e٣"])
     def test_underscore_is_not_a_digit_separator(self, text):
-        # Fraction reads "1_0" as 10 from Python 3.11 on, but not on 3.10.
+        # Fraction reads "1_0" as 10 from Python 3.11 on, but not on 3.10;
+        # Decimal and Fraction read any Unicode digit.
         with pytest.raises(ValueError, match=f"non-numeric weight '{text}'"):
             ingest.exact_number(text, "weight")
         res = ingest.parse_drug_target_table(io.StringIO(DRUG_HEADER + f"d1\tKRAS\t{text}\n"))
@@ -546,3 +547,23 @@ class TestTableLayout:
         first, *others = (edge.mutation for edge in res.rows)
         assert first == MutationKey("KRAS", "12", 12, 12)
         assert all(other is first for other in others)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (ingest.parse_mutation_table, MUTATION_HEADER + "P1\tKRAS\t12\t5\t1\n",
+         "bad locus range 5..1"),
+        (ingest.parse_clinical_table, CLINICAL_HEADER + "P1\tLUAD\t-2.5\tliving\n",
+         "negative os_months -2.5"),
+        (ingest.parse_clinical_table, CLINICAL_HEADER + "P1\tLUAD\t3\tmissing\n",
+         "unrecognized os_status 'missing'"),
+        (ingest.parse_drug_target_table, DRUG_HEADER + "d1\tKRAS\t-1/2\n", "negative weight -1/2"),
+        (ingest.parse_treatment_table, TREATMENT_HEADER + "P1\td1\t-1\tp\n", "negative order -1"),
+    ],
+    ids=["locus-range", "negative-os-months", "os-status", "negative-weight", "negative-order"],
+)
+def test_value_rules(parse, text, message):
+    res = parse(io.StringIO(text))
+    assert res.rows == []
+    assert [(e.line, e.message) for e in res.issues] == [(2, message)]

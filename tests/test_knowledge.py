@@ -90,6 +90,12 @@ class TestKnownMutations:
         g = graph_with({}, known=[M1, M2], scores={M1: 0.95, M2: 1.0})
         assert knowledge.known_mutations(g, "D1", 1.0) == {M2}
 
+    @pytest.mark.parametrize("threshold", [Fraction(-1, 10), Fraction(11, 10)])
+    def test_threshold_outside_unit_interval(self, threshold):
+        g = graph_with({}, known=[M1])
+        with pytest.raises(errors.InvalidLabel, match=rf"^gda_threshold {threshold} outside"):
+            knowledge.known_mutations(g, "D1", threshold)
+
     def test_antitone_in_threshold(self):
         rng = random.Random(5)
         for _ in range(20):
