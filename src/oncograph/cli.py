@@ -92,13 +92,13 @@ _exact = _option_type(ingest.exact_number)
 _int = _option_type(ingest.whole_number)
 
 
-def _add_io_args(p: argparse.ArgumentParser, cfg: dict) -> None:
-    _configure(p.add_argument("--mutations", help="mutation table TSV"), cfg)
-    _configure(p.add_argument("--clinical", help="clinical table TSV"), cfg)
-    _configure(p.add_argument("--gda", help="gene-disease association TSV"), cfg)
-    _configure(p.add_argument("--drugs", help="drug target TSV"), cfg)
-    _configure(p.add_argument("--treatments", help="optional treatment TSV"), cfg)
-    _configure(p.add_argument("--out", default=".", help="output directory"), cfg)
+def _add_io_args(p: argparse.ArgumentParser, configure) -> None:
+    configure(p.add_argument("--mutations", help="mutation table TSV"))
+    configure(p.add_argument("--clinical", help="clinical table TSV"))
+    configure(p.add_argument("--gda", help="gene-disease association TSV"))
+    configure(p.add_argument("--drugs", help="drug target TSV"))
+    configure(p.add_argument("--treatments", help="optional treatment TSV"))
+    configure(p.add_argument("--out", default=".", help="output directory"))
 
 
 def _help_width() -> int:
@@ -369,37 +369,43 @@ def cmd_treat(args) -> int:
 
 def build_arg_parser() -> argparse.ArgumentParser:
     cfg = _config_defaults()
+    configurable = set()
+
+    def configure(action):
+        configurable.add(action.dest)
+        _configure(action, cfg)
+
     formatter = partial(argparse.HelpFormatter, width=_help_width())
     parser = _Parser(prog="oncograph", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        _add_io_args(p, cfg)
+        _add_io_args(p, configure)
         p.set_defaults(fn=fn)
         return p
 
     add("build", cmd_build, "build the graph and write the build report")
 
     p = add("check", cmd_check, "knowledge-vs-evidence consistency per disease")
-    _configure(p.add_argument("--gda-threshold", type=_exact), cfg)
-    _configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="gene"), cfg)
+    configure(p.add_argument("--gda-threshold", type=_exact))
+    configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="gene"))
 
     p = add("cohort", cmd_cohort, "survival bands and profile-similarity groups")
     p.add_argument("--metric", choices=["hamming", "jaccard"], default="hamming")
-    _configure(p.add_argument("--k", type=_exact, default="0"), cfg)
+    configure(p.add_argument("--k", type=_exact, default="0"))
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
     p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
-    _configure(p.add_argument("--t-long", type=_int, default=36), cfg)
-    _configure(p.add_argument("--t-short", type=_int, default=6), cfg)
+    configure(p.add_argument("--t-long", type=_int, default=36))
+    configure(p.add_argument("--t-short", type=_int, default=6))
 
     p = add("freq", cmd_freq, "frequency table of mutations or genes")
     p.add_argument("--mode", choices=_FREQUENCY_MODES, default="mutation")
-    _configure(p.add_argument("--top-n", type=_int, default=10), cfg)
+    configure(p.add_argument("--top-n", type=_int, default=10))
     p.add_argument("--disease", default=None)
     p.add_argument("--band", choices=["all", *_BANDS], default="all")
-    _configure(p.add_argument("--t-long", type=_int, default=36), cfg)
-    _configure(p.add_argument("--t-short", type=_int, default=6), cfg)
+    configure(p.add_argument("--t-long", type=_int, default=36))
+    configure(p.add_argument("--t-short", type=_int, default=6))
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
     p.add_argument("--k", type=_exact, required=True, help="support percentage")
@@ -413,6 +419,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--weighted", action="store_true", help="minimize toxicity weight")
 
+    unknown = [key for key in cfg if key not in configurable]
+    if unknown:
+        path = os.environ[CONFIG_ENV]
+        print(f"cannot read config {path}: unknown setting {unknown[0]!r}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
     return parser
 
 

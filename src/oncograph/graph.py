@@ -9,19 +9,18 @@ One table declares each edge type: its color, its two endpoint partitions
 in order, whose keys are the edge's first two fields, the range rule of its
 label, and whether a pair may repeat; another gives each node type's
 partition and key. So an edge's type fixes which partitions it joins, and
-no edge can join two nodes of one partition. ``add_node``, ``add_edges``
-and ``validate`` read these tables. Each color's record list holds the
-typed edges themselves, and those records are the source of truth;
-``validate`` reads only them, so it also catches records that bypassed
-``add_edges``.
+no edge can join two nodes of one partition. ``add_node`` and ``add_edges``
+read these tables and are the gate, which states each rule once; each
+color's list of typed edge records is the source of truth, and ``validate``
+runs what bypassed the gate through the same tables and ``add_edges``.
 Each edge type whose pairs may not repeat also has an index, first key ->
 {second key: the position of the pair's record in its color's list}:
 patient -> mutations, disease -> patients, disease -> mutations and
 mutation -> drugs. Duplicate checks and queries are lookups in these
 indexes, and a query reads a label (VAF, GDA score) off the record. A
 repeated pair raises, or goes to the caller's ``repeat`` policy. Treatments
-may repeat and no query reads them, so they are kept as records only.
-The graph keeps no other index, none by gene.
+may repeat and no query reads them, so they are kept as records only; the
+graph keeps no other index, none by gene.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -148,8 +147,7 @@ _EDGE_KINDS = {
     ),
 }
 
-# Each node type's partition and the field holding its key (None: the node
-# is its own key).
+# Each node type's partition and the field holding its key (None: the node is the key).
 _NODE_KINDS = {
     PatientRecord: (Partition.PATIENT, "patient_id"),
     MutationKey: (Partition.MUTATION, None),
@@ -235,12 +233,8 @@ class KnowledgeGraph:
         raise errors.UnknownMutation(text)
 
     def partition_sizes(self) -> dict[str, int]:
-        return {
-            "Pa": len(self._patients),
-            "Mu": len(self._mutations),
-            "Di": len(self._diseases),
-            "Dr": len(self._drugs),
-        }
+        names = ("Pa", "Mu", "Di", "Dr")  # in Partition order, as _nodes is
+        return {name: len(table) for name, table in zip(names, self._nodes.values())}
 
     # ------------------------------------------------------------------
     # Edges
@@ -330,48 +324,54 @@ class KnowledgeGraph:
 def validate(graph: KnowledgeGraph) -> list[Violation]:
     """Check every structural invariant; returns one entry per violation.
 
-    Each edge record yields at most one entry: first whether its type has
-    the record's color, then whether both of its endpoints exist, then its
-    label range. Repeated pairs are reported after all per-record entries.
+    A node must be in the table where ``add_node`` files its type, under its
+    own key, and keep its partition's rules. An edge record must have a type
+    of its list's color, and then goes through ``add_edges`` again, into a
+    scratch graph that shares the node tables; each refusal is reported in
+    the gate's order (label, endpoints, repeat). Repeats are listed last.
     """
     out: list[Violation] = []
-    for table in graph._nodes.values():
-        for node in table.values():
+    for part, table in graph._nodes.items():
+        for key, node in table.items():
+            home, field = _NODE_KINDS.get(type(node), (None, None))
+            own = node if field is None else getattr(node, field)
             issue = _node_issue(node)
-            if issue:
+            if home is not part or own != key:
+                text = f"{part.value} table holds {node!r} under key {key_text(key)}"
+                out.append(Violation(PARTITION_VIOLATION, text))
+            elif issue:
                 out.append(Violation(NODE_INVARIANT, issue))
 
-    seen: set[tuple] = set()
+    scratch = KnowledgeGraph()
+    scratch._nodes = graph._nodes  # add_edges looks endpoints up in _nodes only
     repeats: list[Violation] = []
-    for color in EdgeColor:
-        edge_type = None
+    edge = None
+
+    def sound(color):
+        nonlocal edge  # so the last record yielded is the one add_edges refused
         for edge in graph.edge_records(color):
-            if type(edge) is not edge_type:  # look a type up once per run of its edges
-                edge_type = type(edge)
-                kind = _EDGE_KINDS.get(edge_type)
-                if kind:
-                    firsts, seconds = graph._nodes[kind.first], graph._nodes[kind.second]
-            if kind is None or kind.color is not color:
+            kind = _EDGE_KINDS.get(type(edge))
+            if kind is not None and kind.color is color:
+                yield edge
+            else:
                 text = (f"{color.value} edge joins {kind.first.value} and {kind.second.value}"
-                        if kind else f"{color.value} record {edge_type.__name__} is not an edge")
+                        if kind else f"{color.value} record {type(edge).__name__} is not an edge")
                 out.append(Violation(PARTITION_VIOLATION, text))
-                continue
-            a, b = edge[0], edge[1]
-            if a not in firsts or b not in seconds:
-                out.append(
-                    Violation(DANGLING_ENDPOINT, f"{color.value} edge references a missing node")
-                )
-                continue
-            label_issue = kind.check and kind.check(edge)
-            if label_issue:
-                out.append(Violation(LABEL_OUT_OF_RANGE, label_issue))
-                continue
-            if kind.duplicate:
-                pair = (edge_type, a, b)  # edges of two types can be equal tuples
-                if pair in seen:
-                    text = f"duplicate {color.value} edge {key_text(a)}-{key_text(b)}"
-                    repeats.append(Violation(DUPLICATE_EDGE, text))
-                seen.add(pair)
+
+    for color in EdgeColor:
+        records = sound(color)
+        while True:  # each call resumes after the record the last one refused
+            try:
+                scratch.add_edges(records)
+                break
+            except errors.InvalidLabel as exc:
+                out.append(Violation(LABEL_OUT_OF_RANGE, str(exc)))
+            except errors.MissingEndpoint:
+                text = f"{color.value} edge references a missing node"
+                out.append(Violation(DANGLING_ENDPOINT, text))
+            except errors.DuplicateEdge:
+                text = f"duplicate {color.value} edge {key_text(edge[0])}-{key_text(edge[1])}"
+                repeats.append(Violation(DUPLICATE_EDGE, text))
     return out + repeats
 
 

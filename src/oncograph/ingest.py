@@ -212,13 +212,16 @@ def exact_number(text: str, what: str = "number") -> Fraction:
     The integers of the value grow with the exponent of its text, so the
     exponent is bounded before the Fraction is built: at most 1,000
     (``_MAX_DIGITS``) decimal places and as many digits before the point,
-    where each of ``a`` and ``b`` counts as digits before the point. Raises
+    where each of ``a`` and ``b`` counts as digits before the point when
+    both are ASCII digits (``_number`` refuses any other ``a/b``). Raises
     ValueError, naming ``what``, for text out of these bounds or that
     ``_number`` refuses.
     """
     num, slash, den = text.partition("/")
     if slash:
-        places, before = 0, max(len(num.strip().lstrip("+-")), len(den.strip()))
+        num, den = num.strip().lstrip("+-"), den.strip()
+        counted = num.isascii() and den.isascii() and num.isdigit() and den.isdigit()
+        places, before = 0, max(len(num), len(den)) if counted else 0
     else:
         _, digits, exponent = _number(decimal.Decimal, text, what).as_tuple()
         if not isinstance(exponent, int):  # NaN or infinity: Fraction says no

@@ -465,6 +465,26 @@ class TestConfigFile:
             f"cannot read config {config}: bad {key} value {setting[key]!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"t-long": 24},  # spelled as the flag, not as its setting t_long
+            {"metric": "jaccard"},  # an option that takes no config default
+            {"out": "x", "bogus": 1, "other": 2},
+        ],
+    )
+    def test_unknown_setting_is_io_error(self, tmp_path, monkeypatch, setting, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        # The mutation table is absent, so reading it would give another error.
+        argv = fixture_args(tmp_path / "out", mutations=tmp_path / "absent.tsv")
+        assert run(["cohort"] + argv) == 2
+        unknown = next(key for key in setting if key != "out")
+        assert capsys.readouterr().err == (
+            f"cannot read config {config}: unknown setting {unknown!r}\n"
+        )
+
 
 class TestParseBoundary:
     @pytest.mark.parametrize("table", ["mutations", "clinical", "gda", "drugs"])

@@ -26,10 +26,12 @@ from oncograph import (
 from oncograph.cohort import profiles_from_graph
 from oncograph.graph import (
     DANGLING_ENDPOINT,
+    DUPLICATE_EDGE,
     LABEL_OUT_OF_RANGE,
     NODE_INVARIANT,
     PARTITION_VIOLATION,
     Violation,
+    key_text,
 )
 
 from conftest import random_graph
@@ -435,6 +437,128 @@ class TestOneStatementPerRule:
             g.add_edges([edge])
         g.edge_records(color).append(edge)
         assert validate(g) == [Violation(LABEL_OUT_OF_RANGE, str(raised.value))]
+
+
+def held_graph():
+    """small_graph with one held edge of each kind that may not repeat."""
+    g = small_graph()
+    g.add_edges([
+        GeneticEdge("P1", KRAS_MUT, 0.3),
+        DiagnosisEdge("D1", "P1"),
+        GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)),
+        TargetEdge(KRAS_MUT, "drugA"),
+    ])
+    return g
+
+
+def violation_of(refusal, edge):
+    """The entry validate gives for a record that add_edges refused so."""
+    color = COLOR_OF[type(edge)].value
+    if isinstance(refusal, errors.InvalidLabel):
+        return Violation(LABEL_OUT_OF_RANGE, str(refusal))
+    if isinstance(refusal, errors.MissingEndpoint):
+        return Violation(DANGLING_ENDPOINT, f"{color} edge references a missing node")
+    pair = f"{key_text(edge[0])}-{key_text(edge[1])}"
+    return Violation(DUPLICATE_EDGE, f"duplicate {color} edge {pair}")
+
+
+class TestValidateAgreesWithTheGate:
+    """Every edge verdict of validate is the one add_edges gives."""
+
+    @pytest.mark.parametrize(
+        "edge, category",
+        [
+            (GeneticEdge("P2", KRAS_MUT, 1.5), LABEL_OUT_OF_RANGE),
+            (GeneticEdge("P2", GHOST_MUT, 0.3), DANGLING_ENDPOINT),
+            (GeneticEdge("P1", KRAS_MUT, 0.4), DUPLICATE_EDGE),
+            (DiagnosisEdge("D1", "NOPE"), DANGLING_ENDPOINT),
+            (DiagnosisEdge("D1", "P1"), DUPLICATE_EDGE),
+            (TreatmentEdge("P1", "drugA", -1, POS), LABEL_OUT_OF_RANGE),
+            (TreatmentEdge("P1", "NOPE", 1, POS), DANGLING_ENDPOINT),
+            (GdaAssociation("D1", KRAS_MUT, Fraction(3, 2)), LABEL_OUT_OF_RANGE),
+            (GdaAssociation("D1", KRAS_MUT, Fraction(1, 3)), DUPLICATE_EDGE),
+            (TargetEdge(GHOST_MUT, "drugA"), DANGLING_ENDPOINT),
+            (TargetEdge(KRAS_MUT, "drugA"), DUPLICATE_EDGE),
+            # Two rules broken at once: the label is judged first.
+            (GeneticEdge("NOPE", GHOST_MUT, 1.5), LABEL_OUT_OF_RANGE),
+            (GeneticEdge("P1", KRAS_MUT, 1.5), LABEL_OUT_OF_RANGE),
+            (GdaAssociation("NOPE", KRAS_MUT, Fraction(-1)), LABEL_OUT_OF_RANGE),
+        ],
+    )
+    def test_single_forged_record(self, edge, category):
+        g = held_graph()
+        with pytest.raises(errors.OncographError) as raised:
+            g.add_edges([edge])
+        g.edge_records(COLOR_OF[type(edge)]).append(edge)
+        expected = violation_of(raised.value, edge)
+        assert expected.category == category
+        assert validate(g) == [expected]
+
+    def test_every_faulty_record_of_a_color_is_reported(self):
+        # add_edges stops at a refused record; validate calls it again, and it
+        # goes on after that record, so a repeat of a later record is found.
+        g = held_graph()
+        g.edge_records(EdgeColor.GREEN).extend([
+            GeneticEdge("P1", KRAS_MUT, 0.4),  # repeats the held pair
+            GeneticEdge("P2", KRAS_MUT, 0.5),
+            GeneticEdge("P2", TERT_MUT, 7),
+            DiagnosisEdge("D1", "P3"),
+            GeneticEdge("P3", TERT_MUT, 0.1),
+            GeneticEdge("NOPE", TERT_MUT, 0.2),
+            GeneticEdge("P3", TERT_MUT, 0.9),  # repeats a pair after two refusals
+        ])
+        assert validate(g) == [
+            Violation(LABEL_OUT_OF_RANGE, "vaf 7 outside [0, 1]"),
+            Violation(PARTITION_VIOLATION, "green edge joins disease and patient"),
+            Violation(DANGLING_ENDPOINT, "green edge references a missing node"),
+            Violation(DUPLICATE_EDGE, f"duplicate green edge P1-{KRAS}"),
+            Violation(DUPLICATE_EDGE, f"duplicate green edge P3-{TERT_MUT.display()}"),
+        ]
+
+
+class TestNodePlacement:
+    """A node must sit in its own partition's table, under its own key."""
+
+    def test_node_in_another_partition_table(self):
+        g = small_graph()
+        g.drugs["X"] = PatientRecord("X", 3, True)
+        g.add_edges([TargetEdge(KRAS_MUT, "X")])
+        assert validate(g) == [Violation(
+            PARTITION_VIOLATION,
+            "drug table holds PatientRecord(patient_id='X', survival_months=3, alive=True)"
+            " under key X",
+        )]
+
+    def test_node_under_another_key(self):
+        g = KnowledgeGraph()
+        g.patients["A"] = PatientRecord("B", 3, True)
+        g._mutations[KRAS_MUT] = TERT_MUT
+        assert validate(g) == [
+            Violation(
+                PARTITION_VIOLATION,
+                "patient table holds PatientRecord(patient_id='B', survival_months=3,"
+                " alive=True) under key A",
+            ),
+            Violation(
+                PARTITION_VIOLATION,
+                "mutation table holds MutationKey(gene='TERT', chromosome='5',"
+                f" start=1295228, end=1295228) under key {KRAS}",
+            ),
+        ]
+
+    def test_object_that_is_not_a_node(self):
+        g = KnowledgeGraph()
+        g.diseases["D1"] = ("D1",)
+        g.drugs["d"] = None
+        assert validate(g) == [
+            Violation(PARTITION_VIOLATION, "disease table holds ('D1',) under key D1"),
+            Violation(PARTITION_VIOLATION, "drug table holds None under key d"),
+        ]
+
+    def test_a_misplaced_node_gives_one_entry(self):
+        g = KnowledgeGraph()
+        g.drugs["BAD"] = PatientRecord("BAD", -1, True)
+        assert [v.category for v in validate(g)] == [PARTITION_VIOLATION]
 
 
 class TestDowngrade:

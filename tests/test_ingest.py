@@ -205,6 +205,20 @@ class TestOtherParsers:
             (7, "non-numeric weight 'abc'"),
         ]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a" * 1001 + "/1", "non-numeric weight '{}'"),
+            ("1" * 1001 + "/1", "weight {} has more than 1000 digits before the point"),
+            ("1/" + "a" * 1001, "non-numeric weight '{}'"),
+        ],
+        ids=["letters-over-1", "digits-over-1", "1-over-letters"],
+    )
+    def test_only_digits_count_toward_the_bound_of_a_ratio(self, text, message):
+        with pytest.raises(ValueError) as raised:
+            ingest.exact_number(text, "weight")
+        assert str(raised.value) == message.format(text)
+
     @pytest.mark.parametrize("text", ["1_0", "1/1_0", "0.0_1", "１/２", "٠.٥", "1e٣"])
     def test_underscore_is_not_a_digit_separator(self, text):
         # Fraction reads "1_0" as 10 from Python 3.11 on, but not on 3.10;

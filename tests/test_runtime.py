@@ -84,6 +84,12 @@ COMMANDS = {
 }
 
 
+def test_every_golden_file_is_written_by_a_command():
+    # So the fresh-interpreter runs below compare every golden file.
+    written = {golden for _, _, outputs in COMMANDS.values() for golden in outputs.values()}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(written)
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_command_in_a_fresh_interpreter(tmp_path, command):
     # The in-process tests import every module early, so only a new process
