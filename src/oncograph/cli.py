@@ -395,7 +395,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["hamming", "jaccard"], default="hamming")
     configure(p.add_argument("--k", type=_exact, default="0"))
     p.add_argument("--strategy", choices=["components", "cliques"], default="components")
-    p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
+    configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation"))
     configure(p.add_argument("--t-long", type=_int, default=36))
     configure(p.add_argument("--t-short", type=_int, default=6))
 
@@ -409,7 +409,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = add("coexist", cmd_coexist, "maximal coexisting-mutation sets")
     p.add_argument("--k", type=_exact, required=True, help="support percentage")
-    p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation")
+    configure(p.add_argument("--granularity", choices=["mutation", "gene"], default="mutation"))
 
     p = add("treat", cmd_treat, "optimal drug treatment for target mutations")
     p.add_argument("--patient", required=True)

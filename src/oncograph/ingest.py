@@ -11,6 +11,11 @@ Each parser emits the graph objects its rows stand for: a mutation row is a
 objects. GDA and drug-target rows are gene-level facts with no graph type of
 their own, so they stay rows until ``build_graph`` fans them out to the
 mutations of their gene.
+
+Within one parse, rows that repeat a value share one object for it (sample
+ids, genes, chromosomes, cancer types, VAFs, GDA scores and drug weights),
+and each distinct text is converted once. Only a conversion that succeeds
+is kept, so a bad text is reported on every row that holds it.
 """
 
 from __future__ import annotations
@@ -256,11 +261,14 @@ def whole_number(text: str, what: str) -> int:
 
 def parse_mutation_table(source) -> ParseResult:
     """Rows as GeneticEdges; the rows on one locus share one MutationKey,
-    however its positions are spelled (``12`` and ``012``)."""
+    however its positions are spelled (``12`` and ``012``), and equal
+    sample id, gene, chromosome and VAF cells share one object."""
     keys: dict[tuple[str, str, int, int], MutationKey] = {}
     # The key of each locus as its four cells spell it, so that a repeated
     # locus is not parsed again.
     spelled: dict[tuple[str, str, str, str], MutationKey] = {}
+    ids: dict[str, str] = {}
+    vafs: dict[str, float | None] = {}
 
     def row_fn(sample_id, gene, chromosome, start_text, end_text, vaf):
         cells = (gene, chromosome, start_text, end_text)
@@ -270,14 +278,15 @@ def parse_mutation_table(source) -> ParseResult:
             end = whole_number(end_text, "end_position")
             if start < 0 or start > end:
                 raise ValueError(f"bad locus range {start}..{end}")
-            locus = (gene, chromosome, start, end)
+            locus = (ids.setdefault(gene, gene), ids.setdefault(chromosome, chromosome),
+                     start, end)
             mutation = keys.get(locus)
             if mutation is None:
                 mutation = keys[locus] = MutationKey(*locus)
             spelled[cells] = mutation
-        if vaf.lower() in _VAF_SENTINELS:  # "" too: a VAF not given
-            return GeneticEdge(sample_id, mutation, None)
-        return GeneticEdge(sample_id, mutation, _unit_interval("vaf", vaf))
+        if vaf not in vafs:  # a sentinel ("" too: not given) is None; a bad text raises
+            vafs[vaf] = None if vaf.lower() in _VAF_SENTINELS else _unit_interval("vaf", vaf)
+        return GeneticEdge(ids.setdefault(sample_id, sample_id), mutation, vafs[vaf])
 
     return _parse_table(source, MUTATION_COLUMNS, row_fn)
 
@@ -288,7 +297,9 @@ _DECEASED = {"deceased", "dead", "1:deceased"}
 
 def parse_clinical_table(source) -> ParseResult:
     """Rows as (PatientRecord, DiagnosisEdge) pairs, survival floored to
-    whole months; the disease is the verbatim cancer type."""
+    whole months; the disease is the verbatim cancer type, one object per
+    distinct text."""
+    diseases: dict[str, str] = {}
 
     def row_fn(pid, cancer_type, os_months, os_status):
         months = _number(float, os_months, "os_months")
@@ -301,28 +312,37 @@ def parse_clinical_table(source) -> ParseResult:
             raise ValueError(f"unrecognized os_status '{os_status}'")
         return (
             PatientRecord(pid, math.floor(months), status in _LIVING),
-            DiagnosisEdge(cancer_type, pid),
+            DiagnosisEdge(diseases.setdefault(cancer_type, cancer_type), pid),
         )
 
     return _parse_table(source, CLINICAL_COLUMNS, row_fn)
 
 
 def parse_gda_table(source) -> ParseResult:
+    """Rows as GdaTableRows; equal score texts share one Fraction."""
+    scores: dict[str, Fraction] = {}
+
     def row_fn(gene, disease, text):
-        _unit_interval("gda_score", text)
-        return GdaTableRow(gene, disease, exact_number(text, "gda_score"))
+        if text not in scores:
+            _unit_interval("gda_score", text)
+            scores[text] = exact_number(text, "gda_score")
+        return GdaTableRow(gene, disease, scores[text])
 
     return _parse_table(source, GDA_COLUMNS, row_fn)
 
 
 def parse_drug_target_table(source) -> ParseResult:
+    """Rows as DrugTargetTableRows; equal weight texts share one Fraction,
+    and an empty one gives None."""
+    weights: dict[str, Fraction] = {}
+
     def row_fn(drug_id, gene, wtext, adverse_effects):
-        weight = None
-        if wtext:
+        if wtext and wtext not in weights:
             weight = exact_number(wtext, "weight")
             if weight < 0:
                 raise ValueError(f"negative weight {wtext}")
-        return DrugTargetTableRow(drug_id, gene, weight, adverse_effects or None)
+            weights[wtext] = weight
+        return DrugTargetTableRow(drug_id, gene, weights.get(wtext), adverse_effects or None)
 
     return _parse_table(source, DRUG_COLUMNS, row_fn)
 

@@ -432,6 +432,25 @@ class TestConfigFile:
         assert run(["build"] + fixture_args(tmp_path)[:-2]) == 0  # no --out
         assert (tmp_path / "cfg" / "build_report.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, output",
+        [
+            (["coexist", "--k", "30"], "coexisting_sets.tsv"),
+            (["cohort", "--k", "1"], "profile_groups.tsv"),
+        ],
+    )
+    def test_granularity_setting_is_read_as_the_flag(self, tmp_path, monkeypatch, argv, output):
+        # check, cohort and coexist all have --granularity; one setting sets all three.
+        assert run(argv + fixture_args(tmp_path / "flag") + ["--granularity", "gene"]) == 0
+        assert run(argv + fixture_args(tmp_path / "plain")) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"granularity": "gene"}))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+        assert run(argv + fixture_args(tmp_path / "config")) == 0
+        expected = (tmp_path / "flag" / output).read_bytes()
+        assert (tmp_path / "config" / output).read_bytes() == expected
+        assert (tmp_path / "plain" / output).read_bytes() != expected
+
     @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
     def test_unreadable_config_is_io_error(self, tmp_path, monkeypatch, content, capsys):
         config = tmp_path / "config.json"

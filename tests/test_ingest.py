@@ -239,6 +239,80 @@ class TestOtherParsers:
         assert len(res.issues) == 1
 
 
+class TestOneObjectPerValue:
+    """A parse keeps one object per distinct cell text and converts it once;
+    a text that fails is read, and reported, again on every row."""
+
+    def test_rows_of_one_sample_share_its_ids(self):
+        res = ingest.parse_mutation_table(mutation_tsv([
+            "P1\tKRAS\tchr12\t10\t10\t0.3",
+            "P1\tKRAS\tchr12\t20\t20\t0.4",
+            "P2\tTP53\tchr12\t30\t30\t0.5",
+        ]))
+        first, second, third = res.rows
+        assert first.patient_id == second.patient_id == "P1"
+        assert first.patient_id is second.patient_id
+        assert first.mutation is not second.mutation
+        assert first.mutation.gene is second.mutation.gene
+        assert first.mutation.chromosome is second.mutation.chromosome is third.mutation.chromosome
+
+    def test_patients_of_one_cancer_type_share_it(self):
+        res = ingest.parse_clinical_table(io.StringIO(
+            "sample_id\tcancer_type\tos_months\tos_status\n"
+            "P1\tLUAD\t10\tliving\nP2\tLUAD\t20\tdeceased\nP3\tCOAD\t5\tliving\n"
+        ))
+        (_, first), (_, second), (_, third) = res.rows
+        assert first.disease_id is second.disease_id
+        assert third.disease_id == "COAD"
+
+    def test_equal_texts_give_one_value(self):
+        muts = ingest.parse_mutation_table(mutation_tsv(
+            ["P1\tKRAS\t12\t10\t10\t0.25", "P2\tTP53\t17\t30\t30\t0.25"]
+        ))
+        assert muts.rows[0].vaf == 0.25
+        assert muts.rows[0].vaf is muts.rows[1].vaf
+        gda = ingest.parse_gda_table(io.StringIO(
+            "gene\tdisease\tgda_score\nKRAS\tLUAD\t0.3\nTP53\tCOAD\t0.3\n"
+        ))
+        assert gda.rows[0].gda_score == Fraction(3, 10)
+        assert gda.rows[0].gda_score is gda.rows[1].gda_score
+        drugs = ingest.parse_drug_target_table(io.StringIO(
+            DRUG_HEADER + "d1\tKRAS\t2.5\nd2\tTP53\t2.5\nd3\tTP53\t\n"
+        ))
+        first, second, unweighted = (r.toxicity_weight for r in drugs.rows)
+        assert first == Fraction(5, 2)
+        assert first is second
+        assert unweighted is None
+
+    def test_repeated_sentinel_vaf_stays_absent(self):
+        res = ingest.parse_mutation_table(mutation_tsv(
+            ["P1\tKRAS\t12\t10\t10\tNA", "P2\tKRAS\t12\t10\t10\tNA",
+             "P3\tKRAS\t12\t10\t10\tna", "P4\tKRAS\t12\t10\t10\t"]
+        ))
+        assert [r.vaf for r in res.rows] == [None, None, None, None]
+        assert res.issues == []
+
+    @pytest.mark.parametrize(
+        "parse, header, row, message",
+        [
+            (ingest.parse_mutation_table,
+             "sample_id\tgene\tchromosome\tstart_position\tend_position\tvaf",
+             "P{}\tKRAS\t12\t10\t10\t1.5", "vaf 1.5 outside [0, 1]"),
+            (ingest.parse_gda_table, "gene\tdisease\tgda_score",
+             "G{}\tLUAD\t1.5", "gda_score 1.5 outside [0, 1]"),
+            (ingest.parse_drug_target_table, "drug\tgene\tweight",
+             "d{}\tKRAS\t-1", "negative weight -1"),
+        ],
+        ids=["vaf", "gda_score", "weight"],
+    )
+    def test_repeated_bad_text_is_reported_on_every_row(self, parse, header, row, message):
+        good = row.rsplit("\t", 1)[0] + "\t0.5"
+        lines = [header, row.format(1), good.format(2), row.format(3)]
+        res = parse(io.StringIO("\n".join(lines) + "\n"))
+        assert len(res.rows) == 1
+        assert [(e.line, e.message) for e in res.issues] == [(2, message), (4, message)]
+
+
 def clin_row(pid, cancer="LUAD", months=10.0, status="living"):
     return PatientRecord(pid, math.floor(months), status == "living"), DiagnosisEdge(cancer, pid)
 

@@ -12,6 +12,11 @@ from oncograph import cli
 
 from conftest import FIXTURES, GOLDEN, REPO
 
+# The environment of every interpreter started here. No bytecode is written:
+# a __pycache__ left in src/ would make later runs of the checkout skip
+# compiling, which every benchmark call of a fresh checkout pays.
+ENV = {"PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
 
 def test_package_imports_only_standard_library_modules():
     # -S leaves site-packages off sys.path, as the benchmark runs the CLI, and
@@ -24,7 +29,7 @@ def test_package_imports_only_standard_library_modules():
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
-        env={"PYTHONPATH": str(REPO / "src")},
+        env=ENV,
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -103,7 +108,7 @@ def test_command_in_a_fresh_interpreter(tmp_path, command):
     done = subprocess.run(
         [sys.executable, "-S", "-c", CLI_SHIM, str(modules_file),
          *argv, *inputs, f"--out={out}"],
-        env={"PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        env=ENV,
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -128,7 +133,7 @@ def test_submodules_load_on_first_use():
     ])
     done = subprocess.run(
         [sys.executable, "-S", "-c", script],
-        env={"PYTHONPATH": str(REPO / "src")},
+        env=ENV,
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
