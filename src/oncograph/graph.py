@@ -11,16 +11,18 @@ label, and whether a pair may repeat; another gives each node type's
 partition and key. So an edge's type fixes which partitions it joins, and
 no edge can join two nodes of one partition. ``add_node`` and ``add_edges``
 read these tables and are the gate, which states each rule once; each
-color's list of typed edge records is the source of truth, and ``validate``
-runs what bypassed the gate through the same tables and ``add_edges``.
+color's list of typed edge records is the source of truth. Node tables are
+read through read-only views and edge records as tuples, so only the gate
+writes to a graph, and ``validate`` replays a graph through it.
 Each edge type whose pairs may not repeat also has an index, first key ->
 {second key: the position of the pair's record in its color's list}:
 patient -> mutations, disease -> patients, disease -> mutations and
 mutation -> drugs. Duplicate checks and queries are lookups in these
 indexes, and a query reads a label (VAF, GDA score) off the record. A
-repeated pair raises, or goes to the caller's ``repeat`` policy. Treatments
-may repeat and no query reads them, so they are kept as records only; the
-graph keeps no other index, none by gene.
+repeated pair raises, or goes to the caller's ``repeat`` policy, which keeps
+the held edge or the new one. Treatments may repeat and no query reads
+them, so they are kept as records only; the graph keeps no other index,
+none by gene.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from collections.abc import Callable, Iterable, KeysView
+from collections.abc import Callable, Iterable, KeysView, Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import errors
 
@@ -89,15 +92,6 @@ GdaAssociation = namedtuple("GdaAssociation", "disease_id mutation gda_score")
 TargetEdge = namedtuple("TargetEdge", "mutation drug_id")
 
 Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
-
-Violation = namedtuple("Violation", "category message")
-
-# Violation categories emitted by validate().
-PARTITION_VIOLATION = "partition_violation"
-DANGLING_ENDPOINT = "dangling_endpoint"
-LABEL_OUT_OF_RANGE = "label_out_of_range"
-DUPLICATE_EDGE = "duplicate_edge"
-NODE_INVARIANT = "node_invariant"
 
 
 def _vaf_issue(e: GeneticEdge) -> str | None:
@@ -208,20 +202,20 @@ class KnowledgeGraph:
             raise errors.UnknownNode(f"drug {drug_id}") from None
 
     @property
-    def patients(self) -> dict[str, PatientRecord]:
-        return self._patients
+    def patients(self) -> Mapping[str, PatientRecord]:
+        return MappingProxyType(self._patients)
 
     @property
     def mutations(self) -> KeysView[MutationKey]:
         return self._mutations.keys()
 
     @property
-    def diseases(self) -> dict[str, DiseaseNode]:
-        return self._diseases
+    def diseases(self) -> Mapping[str, DiseaseNode]:
+        return MappingProxyType(self._diseases)
 
     @property
-    def drugs(self) -> dict[str, DrugNode]:
-        return self._drugs
+    def drugs(self) -> Mapping[str, DrugNode]:
+        return MappingProxyType(self._drugs)
 
     def mutation_by_display(self, text: str) -> MutationKey:
         """The first-added mutation whose rendering is ``text``: of two loci
@@ -247,9 +241,10 @@ class KnowledgeGraph:
         MissingEndpoint if an endpoint node is absent, or DuplicateEdge for a
         repeated pair of a kind that may not repeat; the edges before it
         stay inserted. With ``repeat``, a repeated pair calls ``repeat(held,
-        new)`` instead, and the edge it returns replaces the held record in
-        place. The tables of an edge type are looked up once per run of its
-        edges.
+        new)`` instead, which must return one of its two arguments: the held
+        edge stays, or the new one replaces it in place; any other result
+        raises DuplicateEdge, and the held record stays. The tables of an
+        edge type are looked up once per run of its edges.
         """
         edge_type = None
         for edge in edges:
@@ -275,16 +270,18 @@ class KnowledgeGraph:
                 if adjacent is None:
                     adjacent = index[a] = {}
                 elif b in adjacent:
-                    if repeat is None:
+                    held = records[adjacent[b]]
+                    kept = None if repeat is None else repeat(held, edge)
+                    if kept is not held and kept is not edge:
                         raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
-                    records[adjacent[b]] = repeat(records[adjacent[b]], edge)
+                    records[adjacent[b]] = kept
                     continue
                 adjacent[b] = len(records)
             records.append(edge)
 
-    def edge_records(self, color: EdgeColor) -> list[Edge]:
-        """The typed edges of one color (used by validate and audit code)."""
-        return self._records[color]
+    def edge_records(self, color: EdgeColor) -> tuple[Edge, ...]:
+        """The typed edges of one color, as a tuple: only add_edges writes them."""
+        return tuple(self._records[color])
 
     def edge_counts(self) -> dict[str, int]:
         return {c.value: len(self._records[c]) for c in EdgeColor}
@@ -321,58 +318,36 @@ class KnowledgeGraph:
         return self._records[EdgeColor.GREEN][at].vaf
 
 
-def validate(graph: KnowledgeGraph) -> list[Violation]:
-    """Check every structural invariant; returns one entry per violation.
-
-    A node must be in the table where ``add_node`` files its type, under its
-    own key, and keep its partition's rules. An edge record must have a type
-    of its list's color, and then goes through ``add_edges`` again, into a
-    scratch graph that shares the node tables; each refusal is reported in
-    the gate's order (label, endpoints, repeat). Repeats are listed last.
-    """
-    out: list[Violation] = []
-    for part, table in graph._nodes.items():
-        for key, node in table.items():
-            home, field = _NODE_KINDS.get(type(node), (None, None))
-            own = node if field is None else getattr(node, field)
-            issue = _node_issue(node)
-            if home is not part or own != key:
-                text = f"{part.value} table holds {node!r} under key {key_text(key)}"
-                out.append(Violation(PARTITION_VIOLATION, text))
-            elif issue:
-                out.append(Violation(NODE_INVARIANT, issue))
-
-    scratch = KnowledgeGraph()
-    scratch._nodes = graph._nodes  # add_edges looks endpoints up in _nodes only
-    repeats: list[Violation] = []
-    edge = None
-
-    def sound(color):
-        nonlocal edge  # so the last record yielded is the one add_edges refused
-        for edge in graph.edge_records(color):
-            kind = _EDGE_KINDS.get(type(edge))
-            if kind is not None and kind.color is color:
-                yield edge
-            else:
-                text = (f"{color.value} edge joins {kind.first.value} and {kind.second.value}"
-                        if kind else f"{color.value} record {type(edge).__name__} is not an edge")
-                out.append(Violation(PARTITION_VIOLATION, text))
-
-    for color in EdgeColor:
-        records = sound(color)
-        while True:  # each call resumes after the record the last one refused
+def validate(graph: KnowledgeGraph) -> list[str]:
+    """Replay ``graph`` through the gate: insert its nodes, then each color's
+    edge records in order, into an empty graph. Returns the text of each
+    refusal, then one entry per partition or color whose table, records or
+    indexes the replay fills differently; empty exactly when the graph
+    equals its replay, as a graph built through the gate does."""
+    replay, out = KnowledgeGraph(), []
+    nodes = (node for table in graph._nodes.values() for node in table.values())
+    edges = ((edge,) for records in graph._records.values() for edge in records)
+    for insert, items in ((replay.add_node, nodes), (replay.add_edges, edges)):
+        for item in items:
             try:
-                scratch.add_edges(records)
-                break
-            except errors.InvalidLabel as exc:
-                out.append(Violation(LABEL_OUT_OF_RANGE, str(exc)))
-            except errors.MissingEndpoint:
-                text = f"{color.value} edge references a missing node"
-                out.append(Violation(DANGLING_ENDPOINT, text))
-            except errors.DuplicateEdge:
-                text = f"duplicate {color.value} edge {key_text(edge[0])}-{key_text(edge[1])}"
-                repeats.append(Violation(DUPLICATE_EDGE, text))
-    return out + repeats
+                insert(item)
+            except (errors.OncographError, TypeError) as exc:
+                out.append(str(exc))
+    for part in Partition:
+        if not _same(replay._nodes[part], graph._nodes[part], dict.values):
+            out.append(f"{part.value} table differs from its replay")
+    for color in EdgeColor:
+        types = [t for t, kind in _EDGE_KINDS.items() if kind.color is color]
+        if (not _same(replay._records[color], graph._records[color])
+                or any(replay._index.get(t) != graph._index.get(t) for t in types)):
+            out.append(f"{color.value} edges differ from their replay")
+    return out
+
+
+def _same(a, b, values=iter) -> bool:
+    """``a == b``, and each value of one has the type of the other's: records
+    of two types with equal fields compare equal."""
+    return a == b and list(map(type, values(a))) == list(map(type, values(b)))
 
 
 def key_text(key) -> str:

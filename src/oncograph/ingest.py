@@ -293,20 +293,22 @@ def parse_mutation_table(source) -> ParseResult:
 
 _LIVING = {"living", "alive", "0:living"}
 _DECEASED = {"deceased", "dead", "1:deceased"}
+# A float rounds this and more to infinity: an os_months there is refused as inf is.
+_MONTHS_LIMIT = decimal.Decimal(2**1024 - 2**970)
 
 
 def parse_clinical_table(source) -> ParseResult:
     """Rows as (PatientRecord, DiagnosisEdge) pairs, survival floored to
-    whole months; the disease is the verbatim cancer type, one object per
-    distinct text."""
+    whole months from the exact value of its text, never through a float;
+    the disease is the verbatim cancer type, one object per distinct text."""
     diseases: dict[str, str] = {}
 
     def row_fn(pid, cancer_type, os_months, os_status):
-        months = _number(float, os_months, "os_months")
-        if not math.isfinite(months):
+        months = _number(decimal.Decimal, os_months, "os_months")
+        if not months.is_finite() or months.copy_abs() >= _MONTHS_LIMIT:
             raise ValueError(f"non-numeric os_months '{os_months}'")
         if months < 0:
-            raise ValueError(f"negative os_months {months}")
+            raise ValueError(f"negative os_months {os_months}")
         status = os_status.lower()
         if status not in _LIVING and status not in _DECEASED:
             raise ValueError(f"unrecognized os_status '{os_status}'")
@@ -378,8 +380,9 @@ def build_graph(
     (None is below any number; a tie keeps the earlier row), and rows of
     unknown samples are reported as orphans. Gene-level association and drug
     target rows fan out to every mutation node on their gene, through one
-    gene -> nodes map made after the green pass. The inserts check every
-    rule of the graph, so a graph it returns is one ``graph.validate`` passes.
+    gene -> nodes map made after the green pass. Every node and edge goes in
+    through ``add_node`` and ``add_edges``, which check every rule of the
+    graph, and ``max_vaf`` keeps one of the two edges it is given.
 
     Green edges and their mutation nodes go in unsorted, in the order of
     each pair's first accepted row; the other rows are sorted, which fixes
@@ -391,13 +394,14 @@ def build_graph(
     def note(severity: str, message: str) -> None:
         report.append(ReportEntry("build", 0, severity, message))
 
+    patients, mutations, diseases = graph.patients, graph.mutations, graph.diseases
     diagnoses = []
     for patient, diagnosis in sorted(clinical_rows, key=lambda r: r[0].patient_id):
-        if patient.patient_id in graph.patients:
+        if patient.patient_id in patients:
             note("warning", f"duplicate clinical row for {patient.patient_id}; first kept")
             continue
         graph.add_node(patient)
-        if diagnosis.disease_id not in graph.diseases:
+        if diagnosis.disease_id not in diseases:
             graph.add_node(DiseaseNode(diagnosis.disease_id))
         diagnoses.append(diagnosis)
     graph.add_edges(diagnoses)
@@ -406,7 +410,6 @@ def build_graph(
 
     def accepted():
         nonlocal orphans
-        patients, mutations = graph.patients, graph.mutations
         for edge in mutation_rows:
             if edge.patient_id not in patients:
                 orphans += 1
@@ -425,7 +428,7 @@ def build_graph(
 
     graph.add_edges(accepted(), repeat=max_vaf)
     by_gene: dict[str, list[MutationKey]] = {}
-    for mutation in graph.mutations:
+    for mutation in mutations:
         by_gene.setdefault(mutation.gene, []).append(mutation)
 
     gda_best: dict[tuple[str, str], Fraction] = {}
@@ -436,7 +439,7 @@ def build_graph(
         gda_best[key] = max(gda_best.get(key, row.gda_score), row.gda_score)
     associations = []
     for (disease, gene), score in sorted(gda_best.items()):
-        if disease not in graph.diseases:
+        if disease not in diseases:
             graph.add_node(DiseaseNode(disease))
         matches = by_gene.get(gene)
         if not matches:
@@ -472,7 +475,7 @@ def build_graph(
     if treatment_rows:
         treatments = []
         for edge in sorted(treatment_rows, key=lambda e: (e.patient_id, e.order, e.drug_id)):
-            if edge.patient_id not in graph.patients:
+            if edge.patient_id not in patients:
                 note("warning", f"treatment row for unknown sample {edge.patient_id}")
                 continue
             if edge.drug_id not in graph.drugs:

@@ -6,6 +6,7 @@ points to a directory with user-supplied exports (mutations.tsv,
 clinical.tsv, gda.tsv, drugs.tsv).
 """
 
+import operator
 import os
 import random
 import time
@@ -21,17 +22,11 @@ from oncograph import (
     PatientRecord,
     cli,
     cohort,
+    errors,
     hitting_set as hs,
     ingest,
     knowledge,
     validate,
-)
-from oncograph.graph import (
-    DANGLING_ENDPOINT,
-    DUPLICATE_EDGE,
-    LABEL_OUT_OF_RANGE,
-    NODE_INVARIANT,
-    PARTITION_VIOLATION,
 )
 
 from conftest import FIXTURES, GOLDEN, make_mutation, random_graph
@@ -170,52 +165,45 @@ def test_coexisting_sets_with_hypermutated_patients():
 
 
 def test_graph_invariants():
-    """Random constructions validate clean; 5 injected violation classes."""
+    """Random constructions replay clean; 5 violation classes are refused by
+    the gate or by a read-only view, and a private write of each is reported."""
     rng = random.Random(2028)
     for _ in range(30):
         assert validate(random_graph(rng, max_nodes=40)) == []
 
-    def fresh():
+    m, ghost = make_mutation("KRAS", 1), make_mutation("GHOST", 9)
+    green = EdgeColor.GREEN
+    bad = PatientRecord("BAD", -1, True)
+    cases = [
+        # 1. partition violation: a disease-patient edge filed as green
+        (lambda g: g.edge_records(green).append(DiagnosisEdge("D1", "P1")), AttributeError,
+         lambda g: g._records[green].append(DiagnosisEdge("D1", "P1"))),
+        # 2. dangling endpoint: green edge to a mutation node never added
+        (lambda g: g.add_edges([GeneticEdge("P2", ghost, 0.5)]), errors.MissingEndpoint,
+         lambda g: g._records[green].append(GeneticEdge("P2", ghost, 0.5))),
+        # 3. label out of range: vaf past 1
+        (lambda g: g.add_edges([GeneticEdge("P2", m, 1.5)]), errors.InvalidLabel,
+         lambda g: g._records[green].append(GeneticEdge("P2", m, 1.5))),
+        # 4. duplicate pairwise-unique edge
+        (lambda g: g.add_edges([GeneticEdge("P1", m, 0.4)]), errors.DuplicateEdge,
+         lambda g: g._records[green].append(GeneticEdge("P1", m, 0.4))),
+        # 5. node invariant: negative survival put into the partition
+        (lambda g: operator.setitem(g.patients, "BAD", bad), TypeError,
+         lambda g: operator.setitem(g._patients, "BAD", bad)),
+    ]
+    for attempt, refused, forge in cases:
         g = KnowledgeGraph()
         g.add_node(PatientRecord("P1", 10, True))
         g.add_node(PatientRecord("P2", 20, False))
-        m = make_mutation("KRAS", 1)
         g.add_node(m)
         g.add_edges([GeneticEdge("P1", m, 0.5)])
-        return g, m
+        with pytest.raises(refused):
+            attempt(g)
+        assert validate(g) == []
+        forge(g)
+        assert validate(g)
 
-    # 1. partition violation: a disease-patient edge filed as green
-    g, m = fresh()
-    g.edge_records(EdgeColor.GREEN).append(DiagnosisEdge("D1", "P1"))
-    report = validate(g)
-    assert [v.category for v in report] == [PARTITION_VIOLATION]
-
-    # 2. dangling endpoint: green edge to a mutation node never added
-    g, m = fresh()
-    ghost = make_mutation("GHOST", 9)
-    g.edge_records(EdgeColor.GREEN).append(GeneticEdge("P2", ghost, 0.5))
-    report = validate(g)
-    assert [v.category for v in report] == [DANGLING_ENDPOINT]
-
-    # 3. label out of range: vaf forged past 1
-    g, m = fresh()
-    g.edge_records(EdgeColor.GREEN).append(GeneticEdge("P2", m, 1.5))
-    report = validate(g)
-    assert [v.category for v in report] == [LABEL_OUT_OF_RANGE]
-
-    # 4. duplicate pairwise-unique edge
-    g, m = fresh()
-    g.edge_records(EdgeColor.GREEN).append(GeneticEdge("P1", m, 0.4))
-    report = validate(g)
-    assert [v.category for v in report] == [DUPLICATE_EDGE]
-
-    # 5. node invariant: negative survival smuggled into the partition
-    g, m = fresh()
-    g._patients["BAD"] = PatientRecord("BAD", -1, True)
-    report = validate(g)
-    assert [v.category for v in report] == [NODE_INVARIANT]
-
-    ok("graph invariants (random clean + 5 injected violation classes)")
+    ok("graph invariants (random clean + 5 violation classes refused and reported)")
 
 
 def _fixture_args(out):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -24,15 +25,6 @@ from oncograph import (
     validate,
 )
 from oncograph.cohort import profiles_from_graph
-from oncograph.graph import (
-    DANGLING_ENDPOINT,
-    DUPLICATE_EDGE,
-    LABEL_OUT_OF_RANGE,
-    NODE_INVARIANT,
-    PARTITION_VIOLATION,
-    Violation,
-    key_text,
-)
 
 from conftest import random_graph
 
@@ -133,7 +125,7 @@ class TestDuplicateEdges:
         second = TreatmentEdge("P1", "drugA", 3, Effectiveness.POSITIVE)
         g.add_edges([first])
         g.add_edges([second])
-        assert g.edge_records(EdgeColor.RED) == [first, second]
+        assert g.edge_records(EdgeColor.RED) == (first, second)
         assert validate(g) == []
 
     def test_repeat_policy_replaces_the_held_record_in_place(self):
@@ -150,16 +142,15 @@ class TestDuplicateEdges:
 
         def policy(held, new):
             calls.append((held, new))
-            return GeneticEdge(new.patient_id, new.mutation, held.vaf + new.vaf)
+            return max(held, new, key=lambda e: e.vaf)
 
         g.add_edges(edges, repeat=policy)
-        # Once per repeat, with the record held at the time and the new edge.
+        # Once per repeat, with the record held at the time and the new edge:
+        # the first repeat replaces the held record, the second keeps it.
         assert len(calls) == 2
         assert calls[0][0] is edges[0] and calls[0][1] is edges[2]
-        assert calls[1] == (GeneticEdge("P1", KRAS_MUT, 0.1 + 0.5), edges[4])
-        assert calls[1][1] is edges[4]
-        merged = GeneticEdge("P1", KRAS_MUT, 0.1 + 0.5 + 0.4)
-        assert g.edge_records(EdgeColor.GREEN) == [merged, edges[1], edges[3]]
+        assert calls[1][0] is edges[2] and calls[1][1] is edges[4]
+        assert g.edge_records(EdgeColor.GREEN) == (edges[2], edges[1], edges[3])
         assert g.mutations_of_patient("P1") == {KRAS_MUT, TERT_MUT}
         for e in g.edge_records(EdgeColor.GREEN):
             assert g.vaf(e.patient_id, e.mutation) == e.vaf
@@ -169,10 +160,63 @@ class TestDuplicateEdges:
                GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)),
                GdaAssociation("D2", TERT_MUT, Fraction(3, 4))]
         g.add_edges(gda, repeat=lambda held, new: max(held, new, key=lambda e: e.gda_score))
-        assert g.edge_records(EdgeColor.MAGENTA) == [gda[2], gda[1]]
+        assert g.edge_records(EdgeColor.MAGENTA) == (gda[2], gda[1])
         assert g.gda_scores("D2") == {TERT_MUT: Fraction(3, 4)}
         assert g.gda_scores("D1") == {KRAS_MUT: Fraction(1, 2)}
         assert validate(g) == []
+
+    @pytest.mark.parametrize(
+        "third",
+        [
+            GeneticEdge("P2", KRAS_MUT, 7.5),  # another pair, and a label out of range
+            GeneticEdge("P2", KRAS_MUT, 0.5),  # another pair
+            GeneticEdge("P1", KRAS_MUT, 0.9),  # the pair, with a fresh label
+            GeneticEdge("P1", KRAS_MUT, 0.1 + 0.5),  # the two edges merged
+            GdaAssociation("P1", KRAS_MUT, 0.5),  # equal to the new edge as a tuple
+            None,
+        ],
+    )
+    def test_a_third_edge_from_repeat_is_refused(self, third):
+        g = small_graph()
+        held, new = GeneticEdge("P1", KRAS_MUT, 0.1), GeneticEdge("P1", KRAS_MUT, 0.5)
+        g.add_edges([held])
+        with pytest.raises(errors.DuplicateEdge) as raised:
+            g.add_edges([new], repeat=lambda held, new: third)
+        assert str(raised.value) == f"genetic edge P1-{KRAS_MUT.display()}"
+        assert g.edge_records(EdgeColor.GREEN)[0] is held
+        assert g.edge_records(EdgeColor.GREEN) == (held,)
+        assert g.vaf("P1", KRAS_MUT) == 0.1
+        assert g.mutations_of_patient("P2") == set()
+        assert validate(g) == []
+
+
+class TestClosedGraph:
+    """Nothing but add_node and add_edges writes to a graph."""
+
+    @pytest.mark.parametrize(
+        "view, node",
+        [
+            ("patients", PatientRecord("X", 3, True)),
+            ("diseases", DiseaseNode("X")),
+            ("drugs", DrugNode("X")),
+        ],
+    )
+    def test_node_views_are_read_only(self, view, node):
+        g = small_graph()
+        with pytest.raises(TypeError):
+            getattr(g, view)["X"] = node
+        with pytest.raises(TypeError):
+            del getattr(g, view)[next(iter(getattr(g, view)))]
+        assert "X" not in getattr(g, view)
+        assert g.partition_sizes() == {"Pa": 3, "Mu": 2, "Di": 1, "Dr": 1}
+
+    @pytest.mark.parametrize("color", list(EdgeColor))
+    def test_edge_records_are_a_tuple(self, color):
+        g = small_graph()
+        g.add_edges([GeneticEdge("P1", KRAS_MUT, 0.3)])
+        with pytest.raises(AttributeError):
+            g.edge_records(color).append(GeneticEdge("P2", KRAS_MUT, 0.3))
+        assert g.edge_counts() == {"green": 1, "red": 0, "magenta": 0}
 
 
 def add_random_treatments(g, rng):
@@ -319,6 +363,83 @@ def test_insertion_error_texts(method, items, exc, text):
     assert str(raised.value) == text
 
 
+def held_graph():
+    """small_graph with one held edge of each kind that may not repeat."""
+    g = small_graph()
+    g.add_edges([
+        GeneticEdge("P1", KRAS_MUT, 0.3),
+        DiagnosisEdge("D1", "P1"),
+        GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)),
+        TargetEdge(KRAS_MUT, "drugA"),
+    ])
+    return g
+
+
+def forged_report(g, where, key, record):
+    """validate's report once ``record`` is written where no insert puts it:
+    in the color ``where``'s edge records (at position ``key``, or last when
+    ``key`` is None), or in the private node table named ``where`` (under
+    ``key``). Asserts that the report opens with the text of the gate's own
+    refusal of ``record``, if the gate refuses it, and returns the rest."""
+    spare = copy.deepcopy(g)
+    insert = spare.add_node if isinstance(where, str) else lambda r: spare.add_edges([r])
+    try:
+        insert(record)
+        refusal = []
+    except (errors.OncographError, TypeError) as exc:
+        refusal = [str(exc)]
+    if isinstance(where, str):
+        getattr(g, where)[key] = record
+    elif key is None:
+        g._records[where].append(record)
+    else:
+        g._records[where][key] = record
+    report = validate(g)
+    assert report[:len(refusal)] == refusal
+    return report[len(refusal):]
+
+
+def differs(*where):
+    """The entries after the refusals: each node table ("patient") and each
+    edge color that the replay fills differently."""
+    return [f"{w.value} edges differ from their replay" if isinstance(w, EdgeColor)
+            else f"{w} table differs from its replay" for w in where]
+
+
+GREEN, RED, MAGENTA = EdgeColor
+
+
+@pytest.mark.parametrize(
+    "where, key, record, rest",
+    [
+        pytest.param(GREEN, None, DiagnosisEdge("D1", "P2"), differs(GREEN, RED),
+                     id="wrong colour"),
+        pytest.param(GREEN, None, ("P2", TERT_MUT), differs(GREEN), id="not an edge"),
+        pytest.param(GREEN, None, GeneticEdge("P2", GHOST_MUT, 0.3), differs(GREEN),
+                     id="dangling"),
+        pytest.param(MAGENTA, None, GdaAssociation("D1", TERT_MUT, Fraction(3, 2)),
+                     differs(MAGENTA), id="label"),
+        pytest.param(GREEN, None, GeneticEdge("P1", KRAS_MUT, 0.4), differs(GREEN),
+                     id="duplicate"),
+        pytest.param("_patients", "BAD", PatientRecord("BAD", -1, True), differs("patient"),
+                     id="node rule"),
+        pytest.param("_drugs", "X", PatientRecord("X", 3, True), differs("patient", "drug"),
+                     id="node in another table"),
+        pytest.param("_patients", "A", PatientRecord("B", 3, True), differs("patient"),
+                     id="node under another key"),
+        pytest.param("_diseases", "D9", ("D9",), differs("disease"), id="not a node"),
+        # What an unchecked repeat policy could leave: P1's held record
+        # replaced by an edge of P2, while the index still files it as P1's.
+        pytest.param(GREEN, 0, GeneticEdge("P2", KRAS_MUT, 0.3), differs(GREEN),
+                     id="repeat under another pair"),
+    ],
+)
+def test_a_private_write_is_reported(where, key, record, rest):
+    g = held_graph()
+    assert validate(g) == []
+    assert forged_report(g, where, key, record) == rest
+
+
 class TestValidate:
     def test_well_formed_fixture(self):
         g = small_graph()
@@ -328,17 +449,13 @@ class TestValidate:
 
     def test_forged_same_partition_edge(self):
         g = small_graph()
-        g.edge_records(EdgeColor.GREEN).append(DiagnosisEdge("D1", "P1"))
-        report = validate(g)
-        assert len(report) == 1
-        assert report[0].category == PARTITION_VIOLATION
+        assert forged_report(g, GREEN, None, DiagnosisEdge("D1", "P1")) == differs(GREEN, RED)
 
     def test_gda_score_injected_out_of_range(self):
         g = small_graph()
-        g.edge_records(EdgeColor.MAGENTA).append(GdaAssociation("D1", KRAS_MUT, 1.2))
-        report = validate(g)
-        assert len(report) == 1
-        assert report[0].category == LABEL_OUT_OF_RANGE
+        edge = GdaAssociation("D1", KRAS_MUT, 1.2)
+        assert forged_report(g, MAGENTA, None, edge) == differs(MAGENTA)
+        assert validate(g)[0] == "gda_score 1.2 outside [0, 1]"
 
     @pytest.mark.parametrize(
         "edge, color, text",
@@ -356,16 +473,15 @@ class TestValidate:
         ],
     )
     def test_edge_under_a_wrong_color(self, edge, color, text):
+        # The replay files the edge under its own color, so both colors differ.
         g = small_graph()
-        g.edge_records(color).append(edge)
-        assert validate(g) == [Violation(PARTITION_VIOLATION, text)]
+        both = [c for c in EdgeColor if c in (color, COLOR_OF[type(edge)])]
+        assert forged_report(g, color, None, edge) == differs(*both), text
 
     def test_record_that_is_not_an_edge(self):
         g = small_graph()
-        g.edge_records(EdgeColor.GREEN).append(("P1", KRAS_MUT))
-        assert validate(g) == [
-            Violation(PARTITION_VIOLATION, "green record tuple is not an edge")
-        ]
+        assert forged_report(g, GREEN, None, ("P1", KRAS_MUT)) == differs(GREEN)
+        assert validate(g)[0] == "unsupported edge type tuple"
 
     @pytest.mark.parametrize(
         "edge",
@@ -385,10 +501,8 @@ class TestValidate:
     def test_forged_edge_with_a_missing_endpoint(self, edge):
         g = small_graph()
         color = COLOR_OF[type(edge)]
-        g.edge_records(color).append(edge)
-        assert validate(g) == [
-            Violation(DANGLING_ENDPOINT, f"{color.value} edge references a missing node")
-        ]
+        assert forged_report(g, color, None, edge) == differs(color)
+        assert "NOPE" in validate(g)[0] or "GHOST" in validate(g)[0]
 
     def test_randomized_construction_always_clean(self):
         rng = random.Random(11)
@@ -397,7 +511,7 @@ class TestValidate:
 
 
 class TestOneStatementPerRule:
-    """add_node and add_edges refuse exactly what validate reports, in its words."""
+    """validate reports a node or label that breaks a rule in the gate's words."""
 
     @pytest.mark.parametrize(
         "node, table, key",
@@ -417,10 +531,10 @@ class TestOneStatementPerRule:
     )
     def test_node_rules(self, node, table, key):
         g = KnowledgeGraph()
-        with pytest.raises(errors.InvalidLabel) as raised:
+        with pytest.raises(errors.InvalidLabel):
             g.add_node(node)
-        getattr(g, table)[node if key is None else key] = node
-        assert validate(g) == [Violation(NODE_INVARIANT, str(raised.value))]
+        part = table[1:-1]  # "_patients" -> "patient"
+        assert forged_report(g, table, node if key is None else key, node) == differs(part)
 
     @pytest.mark.parametrize(
         "edge, color",
@@ -433,72 +547,52 @@ class TestOneStatementPerRule:
     )
     def test_edge_label_rules(self, edge, color):
         g = small_graph()
-        with pytest.raises(errors.InvalidLabel) as raised:
+        with pytest.raises(errors.InvalidLabel):
             g.add_edges([edge])
-        g.edge_records(color).append(edge)
-        assert validate(g) == [Violation(LABEL_OUT_OF_RANGE, str(raised.value))]
-
-
-def held_graph():
-    """small_graph with one held edge of each kind that may not repeat."""
-    g = small_graph()
-    g.add_edges([
-        GeneticEdge("P1", KRAS_MUT, 0.3),
-        DiagnosisEdge("D1", "P1"),
-        GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)),
-        TargetEdge(KRAS_MUT, "drugA"),
-    ])
-    return g
-
-
-def violation_of(refusal, edge):
-    """The entry validate gives for a record that add_edges refused so."""
-    color = COLOR_OF[type(edge)].value
-    if isinstance(refusal, errors.InvalidLabel):
-        return Violation(LABEL_OUT_OF_RANGE, str(refusal))
-    if isinstance(refusal, errors.MissingEndpoint):
-        return Violation(DANGLING_ENDPOINT, f"{color} edge references a missing node")
-    pair = f"{key_text(edge[0])}-{key_text(edge[1])}"
-    return Violation(DUPLICATE_EDGE, f"duplicate {color} edge {pair}")
+        assert forged_report(g, color, None, edge) == differs(color)
 
 
 class TestValidateAgreesWithTheGate:
-    """Every edge verdict of validate is the one add_edges gives."""
+    """Every edge refusal in validate's report is the one add_edges gives."""
+
+    REFUSAL = {
+        "label_out_of_range": errors.InvalidLabel,
+        "dangling_endpoint": errors.MissingEndpoint,
+        "duplicate_edge": errors.DuplicateEdge,
+    }
 
     @pytest.mark.parametrize(
-        "edge, category",
+        "edge, refusal",
         [
-            (GeneticEdge("P2", KRAS_MUT, 1.5), LABEL_OUT_OF_RANGE),
-            (GeneticEdge("P2", GHOST_MUT, 0.3), DANGLING_ENDPOINT),
-            (GeneticEdge("P1", KRAS_MUT, 0.4), DUPLICATE_EDGE),
-            (DiagnosisEdge("D1", "NOPE"), DANGLING_ENDPOINT),
-            (DiagnosisEdge("D1", "P1"), DUPLICATE_EDGE),
-            (TreatmentEdge("P1", "drugA", -1, POS), LABEL_OUT_OF_RANGE),
-            (TreatmentEdge("P1", "NOPE", 1, POS), DANGLING_ENDPOINT),
-            (GdaAssociation("D1", KRAS_MUT, Fraction(3, 2)), LABEL_OUT_OF_RANGE),
-            (GdaAssociation("D1", KRAS_MUT, Fraction(1, 3)), DUPLICATE_EDGE),
-            (TargetEdge(GHOST_MUT, "drugA"), DANGLING_ENDPOINT),
-            (TargetEdge(KRAS_MUT, "drugA"), DUPLICATE_EDGE),
+            (GeneticEdge("P2", KRAS_MUT, 1.5), "label_out_of_range"),
+            (GeneticEdge("P2", GHOST_MUT, 0.3), "dangling_endpoint"),
+            (GeneticEdge("P1", KRAS_MUT, 0.4), "duplicate_edge"),
+            (DiagnosisEdge("D1", "NOPE"), "dangling_endpoint"),
+            (DiagnosisEdge("D1", "P1"), "duplicate_edge"),
+            (TreatmentEdge("P1", "drugA", -1, POS), "label_out_of_range"),
+            (TreatmentEdge("P1", "NOPE", 1, POS), "dangling_endpoint"),
+            (GdaAssociation("D1", KRAS_MUT, Fraction(3, 2)), "label_out_of_range"),
+            (GdaAssociation("D1", KRAS_MUT, Fraction(1, 3)), "duplicate_edge"),
+            (TargetEdge(GHOST_MUT, "drugA"), "dangling_endpoint"),
+            (TargetEdge(KRAS_MUT, "drugA"), "duplicate_edge"),
             # Two rules broken at once: the label is judged first.
-            (GeneticEdge("NOPE", GHOST_MUT, 1.5), LABEL_OUT_OF_RANGE),
-            (GeneticEdge("P1", KRAS_MUT, 1.5), LABEL_OUT_OF_RANGE),
-            (GdaAssociation("NOPE", KRAS_MUT, Fraction(-1)), LABEL_OUT_OF_RANGE),
+            (GeneticEdge("NOPE", GHOST_MUT, 1.5), "label_out_of_range"),
+            (GeneticEdge("P1", KRAS_MUT, 1.5), "label_out_of_range"),
+            (GdaAssociation("NOPE", KRAS_MUT, Fraction(-1)), "label_out_of_range"),
         ],
     )
-    def test_single_forged_record(self, edge, category):
+    def test_single_forged_record(self, edge, refusal):
         g = held_graph()
-        with pytest.raises(errors.OncographError) as raised:
+        with pytest.raises(self.REFUSAL[refusal]):
             g.add_edges([edge])
-        g.edge_records(COLOR_OF[type(edge)]).append(edge)
-        expected = violation_of(raised.value, edge)
-        assert expected.category == category
-        assert validate(g) == [expected]
+        color = COLOR_OF[type(edge)]
+        assert forged_report(g, color, None, edge) == differs(color)
 
     def test_every_faulty_record_of_a_color_is_reported(self):
-        # add_edges stops at a refused record; validate calls it again, and it
-        # goes on after that record, so a repeat of a later record is found.
+        # Each record is replayed on its own, so a refusal does not hide the
+        # records after it; refusals come in record order.
         g = held_graph()
-        g.edge_records(EdgeColor.GREEN).extend([
+        g._records[GREEN].extend([
             GeneticEdge("P1", KRAS_MUT, 0.4),  # repeats the held pair
             GeneticEdge("P2", KRAS_MUT, 0.5),
             GeneticEdge("P2", TERT_MUT, 7),
@@ -508,11 +602,11 @@ class TestValidateAgreesWithTheGate:
             GeneticEdge("P3", TERT_MUT, 0.9),  # repeats a pair after two refusals
         ])
         assert validate(g) == [
-            Violation(LABEL_OUT_OF_RANGE, "vaf 7 outside [0, 1]"),
-            Violation(PARTITION_VIOLATION, "green edge joins disease and patient"),
-            Violation(DANGLING_ENDPOINT, "green edge references a missing node"),
-            Violation(DUPLICATE_EDGE, f"duplicate green edge P1-{KRAS}"),
-            Violation(DUPLICATE_EDGE, f"duplicate green edge P3-{TERT_MUT.display()}"),
+            f"genetic edge P1-{KRAS}",
+            "vaf 7 outside [0, 1]",
+            "patient NOPE",
+            f"genetic edge P3-{TERT_MUT.display()}",
+            *differs(GREEN, RED),
         ]
 
 
@@ -521,44 +615,18 @@ class TestNodePlacement:
 
     def test_node_in_another_partition_table(self):
         g = small_graph()
-        g.drugs["X"] = PatientRecord("X", 3, True)
-        g.add_edges([TargetEdge(KRAS_MUT, "X")])
-        assert validate(g) == [Violation(
-            PARTITION_VIOLATION,
-            "drug table holds PatientRecord(patient_id='X', survival_months=3, alive=True)"
-            " under key X",
-        )]
+        assert forged_report(g, "_drugs", "X", PatientRecord("X", 3, True)) == differs(
+            "patient", "drug"
+        )
 
     def test_node_under_another_key(self):
-        g = KnowledgeGraph()
-        g.patients["A"] = PatientRecord("B", 3, True)
-        g._mutations[KRAS_MUT] = TERT_MUT
-        assert validate(g) == [
-            Violation(
-                PARTITION_VIOLATION,
-                "patient table holds PatientRecord(patient_id='B', survival_months=3,"
-                " alive=True) under key A",
-            ),
-            Violation(
-                PARTITION_VIOLATION,
-                "mutation table holds MutationKey(gene='TERT', chromosome='5',"
-                f" start=1295228, end=1295228) under key {KRAS}",
-            ),
-        ]
+        for table, key, node in (("_patients", "A", PatientRecord("B", 3, True)),
+                                 ("_mutations", KRAS_MUT, TERT_MUT)):
+            assert forged_report(KnowledgeGraph(), table, key, node) == differs(table[1:-1])
 
     def test_object_that_is_not_a_node(self):
-        g = KnowledgeGraph()
-        g.diseases["D1"] = ("D1",)
-        g.drugs["d"] = None
-        assert validate(g) == [
-            Violation(PARTITION_VIOLATION, "disease table holds ('D1',) under key D1"),
-            Violation(PARTITION_VIOLATION, "drug table holds None under key d"),
-        ]
-
-    def test_a_misplaced_node_gives_one_entry(self):
-        g = KnowledgeGraph()
-        g.drugs["BAD"] = PatientRecord("BAD", -1, True)
-        assert [v.category for v in validate(g)] == [PARTITION_VIOLATION]
+        for table, key, item in (("_diseases", "D1", ("D1",)), ("_drugs", "d", None)):
+            assert forged_report(KnowledgeGraph(), table, key, item) == differs(table[1:-1])
 
 
 class TestDowngrade:
@@ -594,7 +662,7 @@ class TestRecords:
         "record_type",
         [
             PatientRecord, MutationKey, DiseaseNode, DrugNode, GeneticEdge,
-            DiagnosisEdge, TreatmentEdge, GdaAssociation, TargetEdge, Violation,
+            DiagnosisEdge, TreatmentEdge, GdaAssociation, TargetEdge,
             ingest.ReportEntry, ingest.GdaTableRow, ingest.DrugTargetTableRow,
             cohort.MutationProfile, cohort.SurvivalPartition, cohort.CoexistenceSet,
             cohort.CoMutationRow, knowledge.DiseaseEvidence, knowledge.ConsistencyVerdict,
@@ -626,8 +694,11 @@ class TestRecords:
             g.add_edges([green])
         with pytest.raises(errors.DuplicateEdge, match="^gda X-"):
             g.add_edges([magenta])
+        # Swapped through the private records, each is still told apart.
+        swapped = copy.deepcopy(g)
+        swapped._records[EdgeColor.GREEN][0] = magenta
+        swapped._records[EdgeColor.MAGENTA][0] = green
+        assert validate(swapped) == differs(GREEN, MAGENTA)
         # A forged repeat of one is a duplicate of its own color only.
-        g.edge_records(EdgeColor.MAGENTA).append(magenta)
-        assert [v.message for v in validate(g)] == [
-            f"duplicate magenta edge X-{KRAS_MUT.display()}"
-        ]
+        assert forged_report(g, MAGENTA, None, magenta) == differs(MAGENTA)
+        assert validate(g)[0] == f"gda X-{KRAS_MUT.display()}"

@@ -14,6 +14,7 @@ from oncograph import (
     MutationKey,
     PatientRecord,
     TreatmentEdge,
+    cohort,
     errors,
     ingest,
     validate,
@@ -130,7 +131,21 @@ class TestOtherParsers:
         assert res.rows[0].gda_score == 1.0
         assert res.issues == []
 
-    @pytest.mark.parametrize("months", ["nan", "inf", "1e400", "abc"])
+    def test_clinical_months_are_floored_exactly(self):
+        # Read as a float, 35.99999999999999999 rounds up to 36.0.
+        res = ingest.parse_clinical_table(io.StringIO(
+            "sample_id\tcancer_type\tos_months\tos_status\n"
+            "P1\tLUAD\t35.99999999999999999\tliving\nP2\tLUAD\t36\tliving\n"
+        ))
+        assert [r[0].survival_months for r in res.rows] == [35, 36]
+        g, _ = ingest.build_graph([], res.rows, [], [])
+        bands = cohort.survival_partition(g, t_long=36)
+        assert bands.rest == {"P1"} and bands.long_survivors == {"P2"}
+
+    # A value that a float would round to infinity counts as infinite.
+    @pytest.mark.parametrize(
+        "months", ["nan", "inf", "1e400", "abc", "-inf", "-1e400", "1.8e308", "sNaN"]
+    )
     def test_clinical_months_must_be_finite(self, months):
         header = "sample_id\tcancer_type\tos_months\tos_status"
         res = ingest.parse_clinical_table(io.StringIO(f"{header}\nP1\tLUAD\t{months}\tliving\n"))
@@ -354,7 +369,7 @@ class TestBuildGraph:
         ]
         g, report = ingest.build_graph(rows, [clin_row(p) for p in ("P1", "P2", "P3")], [], [])
         green = g.edge_records(EdgeColor.GREEN)
-        kept = [rows[10], rows[3], rows[4], rows[8], rows[12]]
+        kept = (rows[10], rows[3], rows[4], rows[8], rows[12])
         assert green == kept
         assert all(e is k for e, k in zip(green, kept))
         kras, tp53, egfr, braf = (rows[i].mutation for i in (0, 3, 6, 8))
