@@ -342,6 +342,9 @@ def cmd_coexist(args) -> int:
 
 
 def cmd_treat(args) -> int:
+    if not args.targets.strip(","):
+        print(f"--targets {args.targets!r} names no mutation", file=sys.stderr)
+        return EXIT_USAGE
     from . import hitting_set as hs
     g, _ = _load(args)
     out = _outdir(args)

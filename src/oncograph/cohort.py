@@ -334,9 +334,7 @@ def frequency_table(
         counts = Counter(items if mode is FrequencyMode.MUTATION else map(_gene_of, items))
     # Two loci that render alike are two rows, in key order.
     rows = sorted(counts.items(), key=lambda r: (-r[1], key_text(r[0]), r[0]))
-    if top_n is not None:
-        rows = rows[:top_n]
-    return tuple((key_text(item), Fraction(100 * c, denominator)) for item, c in rows)
+    return tuple((key_text(item), Fraction(100 * c, denominator)) for item, c in rows[:top_n])
 
 
 def _check_top_n(top_n: int | None) -> None:
@@ -393,6 +391,4 @@ def co_mutation_survival_table(
             )
         )
     rows.sort(key=lambda r: (-r.pct_patients, r.gene))
-    if top_n is not None:
-        rows = rows[:top_n]
-    return rows
+    return rows[:top_n]

@@ -83,7 +83,7 @@ DiseaseNode = namedtuple("DiseaseNode", "disease_id")
 DrugNode = namedtuple(
     "DrugNode", "drug_id adverse_effects toxicity_weight", defaults=(None, Fraction(1))
 )
-# Green patient-mutation edge; vaf is None when the export lacked it.
+# Green patient-mutation edge; vaf is in [0, 1] (a Fraction from ingest), None if not given.
 GeneticEdge = namedtuple("GeneticEdge", "patient_id mutation vaf", defaults=(None,))
 DiagnosisEdge = namedtuple("DiagnosisEdge", "disease_id patient_id")
 # Red patient-drug edge; drugs in a cocktail share the same order.
@@ -94,17 +94,11 @@ TargetEdge = namedtuple("TargetEdge", "mutation drug_id")
 Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
 
 
-def _vaf_issue(e: GeneticEdge) -> str | None:
-    if e.vaf is not None and not 0 <= e.vaf <= 1:
-        return f"vaf {e.vaf} outside [0, 1]"
-    return None
-
-
-def _gda_issue(e: GdaAssociation) -> str | None:
-    # The score is an exact Fraction: compared with the ints 0 and 1, never
-    # with a float.
-    if not 0 <= e.gda_score <= 1:
-        return f"gda_score {e.gda_score} outside [0, 1]"
+def _unit_label_issue(e: GeneticEdge | GdaAssociation) -> str | None:
+    # The third field: a VAF (None if not given) or a GDA score, compared exactly.
+    name, label = e._fields[2], e[2]
+    if not ((label is None and name == "vaf") or 0 <= label <= 1):
+        return f"{name} {label} outside [0, 1]"
     return None
 
 
@@ -125,7 +119,7 @@ _EdgeKind = namedtuple("_EdgeKind", "color first second check duplicate")
 
 _EDGE_KINDS = {
     GeneticEdge: _EdgeKind(
-        EdgeColor.GREEN, Partition.PATIENT, Partition.MUTATION, _vaf_issue, "genetic edge"
+        EdgeColor.GREEN, Partition.PATIENT, Partition.MUTATION, _unit_label_issue, "genetic edge"
     ),
     DiagnosisEdge: _EdgeKind(
         EdgeColor.RED, Partition.DISEASE, Partition.PATIENT, None, "diagnosis"
@@ -134,7 +128,7 @@ _EDGE_KINDS = {
         EdgeColor.RED, Partition.PATIENT, Partition.DRUG, _treatment_issue, None
     ),
     GdaAssociation: _EdgeKind(
-        EdgeColor.MAGENTA, Partition.DISEASE, Partition.MUTATION, _gda_issue, "gda"
+        EdgeColor.MAGENTA, Partition.DISEASE, Partition.MUTATION, _unit_label_issue, "gda"
     ),
     TargetEdge: _EdgeKind(
         EdgeColor.MAGENTA, Partition.MUTATION, Partition.DRUG, None, "target"
@@ -310,7 +304,8 @@ class KnowledgeGraph:
             raise errors.UnknownMutation(mutation.display())
         return set(self._index[TargetEdge].get(mutation, ()))
 
-    def vaf(self, patient_id: str, mutation: MutationKey) -> float | None:
+    def vaf(self, patient_id: str, mutation: MutationKey) -> Fraction | None:
+        """The VAF on the patient's green edge to ``mutation`` (a Fraction from ingest) or None."""
         self.patient(patient_id)
         at = self._index[GeneticEdge].get(patient_id, {}).get(mutation)
         if at is None:

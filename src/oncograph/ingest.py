@@ -212,45 +212,40 @@ def _number(read, text: str, what: str, kind: str = "non-numeric"):
 
 
 def exact_number(text: str, what: str = "number") -> Fraction:
-    """The exact value of a decimal text, or of ``a/b``, never through a float.
-
-    The integers of the value grow with the exponent of its text, so the
-    exponent is bounded before the Fraction is built: at most 1,000
-    (``_MAX_DIGITS``) decimal places and as many digits before the point,
-    where each of ``a`` and ``b`` counts as digits before the point when
-    both are ASCII digits (``_number`` refuses any other ``a/b``). Raises
-    ValueError, naming ``what``, for text out of these bounds or that
-    ``_number`` refuses.
-    """
+    """The exact value of a decimal text (``_exact_decimal``) or of ``a/b``, whose
+    ``a`` and ``b`` count as digits before the point if both are ASCII digits."""
     num, slash, den = text.partition("/")
-    if slash:
-        num, den = num.strip().lstrip("+-"), den.strip()
-        counted = num.isascii() and den.isascii() and num.isdigit() and den.isdigit()
-        places, before = 0, max(len(num), len(den)) if counted else 0
-    else:
-        _, digits, exponent = _number(decimal.Decimal, text, what).as_tuple()
-        if not isinstance(exponent, int):  # NaN or infinity: Fraction says no
-            exponent, digits = 0, ()
-        places, before = -exponent, len(digits) + exponent
-    if places > _MAX_DIGITS:
-        raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} decimal places")
-    if before > _MAX_DIGITS:
-        raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} digits before the point")
+    if not slash:
+        return Fraction(_exact_decimal(text, what))
+    num, den = num.strip().lstrip("+-"), den.strip()
+    if num.isascii() and den.isascii() and num.isdigit() and den.isdigit():
+        if max(len(num), len(den)) > _MAX_DIGITS:
+            raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} digits before the point")
     return _number(Fraction, text, what)
 
 
-def _unit_interval(column: str, text: str) -> float:
-    """The float of a cell whose exact decimal value must lie in [0, 1].
+def _exact_decimal(text: str, what: str) -> decimal.Decimal:
+    """A decimal text's exact value, never through a float. The integers of
+    its Fraction grow with the exponent, which is bounded here: at most 1,000
+    (``_MAX_DIGITS``) decimal places and as many digits before the point.
+    Any other text (NaN, infinity, ``a/b``) raises ValueError naming ``what``."""
+    value = _number(decimal.Decimal, text, what)
+    if not value.is_finite():
+        raise ValueError(f"non-numeric {what} '{text}'")
+    _, digits, exponent = value.as_tuple()
+    if -exponent > _MAX_DIGITS:
+        raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} decimal places")
+    if len(digits) + exponent > _MAX_DIGITS:
+        raise ValueError(f"{what} {text} has more than {_MAX_DIGITS} digits before the point")
+    return value
 
-    Rounding to a float is monotonic, so only a float of exactly 0.0 or 1.0
-    can hide an out-of-range text; only then is the text compared exactly.
-    """
-    approx = _number(float, text, column)
-    if not 0.0 <= approx <= 1.0:
-        raise ValueError(f"{column} {approx} outside [0, 1]")
-    if approx in (0.0, 1.0) and not 0 <= decimal.Decimal(text) <= 1:
+
+def _unit_interval(column: str, text: str) -> Fraction:
+    """The Fraction of a decimal cell whose exact value must lie in [0, 1]."""
+    value = _exact_decimal(text, column)
+    if not 0 <= value <= 1:
         raise ValueError(f"{column} {text} outside [0, 1]")
-    return approx
+    return Fraction(value)
 
 
 def whole_number(text: str, what: str) -> int:
@@ -268,7 +263,7 @@ def parse_mutation_table(source) -> ParseResult:
     # locus is not parsed again.
     spelled: dict[tuple[str, str, str, str], MutationKey] = {}
     ids: dict[str, str] = {}
-    vafs: dict[str, float | None] = {}
+    vafs: dict[str, Fraction | None] = {}
 
     def row_fn(sample_id, gene, chromosome, start_text, end_text, vaf):
         cells = (gene, chromosome, start_text, end_text)
@@ -304,8 +299,8 @@ def parse_clinical_table(source) -> ParseResult:
     diseases: dict[str, str] = {}
 
     def row_fn(pid, cancer_type, os_months, os_status):
-        months = _number(decimal.Decimal, os_months, "os_months")
-        if not months.is_finite() or months.copy_abs() >= _MONTHS_LIMIT:
+        months = _exact_decimal(os_months, "os_months")
+        if months.copy_abs() >= _MONTHS_LIMIT:
             raise ValueError(f"non-numeric os_months '{os_months}'")
         if months < 0:
             raise ValueError(f"negative os_months {os_months}")
@@ -326,8 +321,7 @@ def parse_gda_table(source) -> ParseResult:
 
     def row_fn(gene, disease, text):
         if text not in scores:
-            _unit_interval("gda_score", text)
-            scores[text] = exact_number(text, "gda_score")
+            scores[text] = _unit_interval("gda_score", text)
         return GdaTableRow(gene, disease, scores[text])
 
     return _parse_table(source, GDA_COLUMNS, row_fn)
@@ -376,13 +370,14 @@ def build_graph(
     Patients come first, each with its diagnosis edge (disease nodes are
     created on first sight). Green edges of known patients stream into one
     ``add_edges`` call, each mutation node added at its first accepted row;
-    a pair that the green index finds repeated keeps the edge of maximum VAF
-    (None is below any number; a tie keeps the earlier row), and rows of
-    unknown samples are reported as orphans. Gene-level association and drug
-    target rows fan out to every mutation node on their gene, through one
-    gene -> nodes map made after the green pass. Every node and edge goes in
-    through ``add_node`` and ``add_edges``, which check every rule of the
-    graph, and ``max_vaf`` keeps one of the two edges it is given.
+    a pair that the green index finds repeated keeps the edge of maximum
+    VAF, compared exactly (None is below any number; a tie keeps the earlier
+    row), and rows of unknown samples are reported as orphans. Gene-level
+    association and drug target rows fan out to every mutation node on their
+    gene, through one gene -> nodes map made after the green pass. Every
+    node and edge goes in through ``add_node`` and ``add_edges``, which
+    check every rule of the graph, and ``max_vaf`` keeps one of the two
+    edges it is given.
 
     Green edges and their mutation nodes go in unsorted, in the order of
     each pair's first accepted row; the other rows are sorted, which fixes

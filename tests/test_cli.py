@@ -311,6 +311,7 @@ class TestExactThresholds:
             (["freq", "--top-n", "-1"], "--top-n -1 must be >= 0"),
             (["coexist", "--k", "0"], "--k 0 must be in (0, 100]"),
             (["coexist", "--k", "101"], "--k 101 must be in (0, 100]"),
+            (["treat", "--patient", "P1", "--targets", ","], "--targets ',' names no mutation"),
         ],
     )
     def test_bad_bands_and_top_n_are_usage_errors_before_any_input(

@@ -71,13 +71,13 @@ class TestParseMutationTable:
     @pytest.mark.parametrize(
         "text, message",
         [
-            # The first two read as the floats 1.0 and -0.0 but lie outside [0, 1];
-            # the others are out of range as floats and keep their messages.
+            # The first two would read as the floats 1.0 and -0.0, inside [0, 1].
             ("1.00000000000000001", "vaf 1.00000000000000001 outside [0, 1]"),
             ("-1e-400", "vaf -1e-400 outside [0, 1]"),
             ("1.5", "vaf 1.5 outside [0, 1]"),
-            ("1e999", "vaf inf outside [0, 1]"),
+            ("1e999", "vaf 1e999 outside [0, 1]"),
             ("high", "non-numeric vaf 'high'"),
+            ("1/2", "non-numeric vaf '1/2'"),
         ],
     )
     def test_vaf_is_checked_exactly(self, text, message):
@@ -87,12 +87,25 @@ class TestParseMutationTable:
 
     @pytest.mark.parametrize(
         "text, vaf",
-        [("0", 0.0), ("-0", 0.0), ("1.000", 1.0), ("1e-400", 0.0), ("0.99999999999999999999", 1.0)],
+        [
+            ("0", 0.0), ("-0", 0.0), ("1.000", 1.0), ("1e-400", Fraction(1, 10**400)),
+            ("0.99999999999999999999", Fraction(10**20 - 1, 10**20)),
+        ],
     )
     def test_vaf_bounds_kept(self, text, vaf):
         res = ingest.parse_mutation_table(mutation_tsv([f"P1\tKRAS\t12\t1\t1\t{text}"]))
         assert res.issues == []
         assert [r.vaf for r in res.rows] == [vaf]
+
+    def test_repeated_pair_keeps_the_exactly_larger_vaf(self):
+        # Both texts read as the float 0.1, so a float comparison ties and
+        # keeps the first row.
+        res = ingest.parse_mutation_table(mutation_tsv(
+            ["P1\tKRAS\t12\t1\t1\t0.1", "P1\tKRAS\t12\t1\t1\t0.1000000000000000000001"]
+        ))
+        g, _ = ingest.build_graph(res.rows, [clin_row("P1")], [], [])
+        assert g.edge_records(EdgeColor.GREEN) == (res.rows[1],)
+        assert g.vaf("P1", res.rows[0].mutation) == Fraction("0.1000000000000000000001")
 
     def test_rows_on_one_locus_share_the_graph_node(self):
         res = ingest.parse_mutation_table(
@@ -179,10 +192,10 @@ class TestOtherParsers:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("nan", "gda_score nan outside [0, 1]"),
-            ("-inf", "gda_score -inf outside [0, 1]"),
-            ("1e999", "gda_score inf outside [0, 1]"),
-            ("1.50", "gda_score 1.5 outside [0, 1]"),
+            ("nan", "non-numeric gda_score 'nan'"),
+            ("-inf", "non-numeric gda_score '-inf'"),
+            ("1e999", "gda_score 1e999 outside [0, 1]"),
+            ("1.50", "gda_score 1.50 outside [0, 1]"),
             ("1/2", "non-numeric gda_score '1/2'"),
             ("-1e-400", "gda_score -1e-400 outside [0, 1]"),
         ],
