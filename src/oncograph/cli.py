@@ -13,6 +13,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import partial
@@ -126,24 +127,34 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
         if not os.path.isfile(path):
             print(f"cannot read {name} file: {path}", file=sys.stderr)
             raise SystemExit(EXIT_IO)
+    # The load makes no garbage cycles, so a collection during it would only
+    # rescan what it built; frozen after it, the graph is never rescanned by
+    # the collections of the command that reads it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        mut = ingest.parse_mutation_table(args.mutations)
-        cli = ingest.parse_clinical_table(args.clinical)
-        gda = ingest.parse_gda_table(args.gda)
-        drg = ingest.parse_drug_target_table(args.drugs)
-        trt = (
-            ingest.parse_treatment_table(args.treatments)
-            if args.treatments
-            else None
+        try:
+            mut = ingest.parse_mutation_table(args.mutations)
+            cli = ingest.parse_clinical_table(args.clinical)
+            gda = ingest.parse_gda_table(args.gda)
+            drg = ingest.parse_drug_target_table(args.drugs)
+            trt = (
+                ingest.parse_treatment_table(args.treatments)
+                if args.treatments
+                else None
+            )
+        except (errors.MissingColumn, errors.InvalidEncoding) as exc:
+            print(str(exc), file=sys.stderr)
+            raise SystemExit(EXIT_IO)
+        if not mut.rows and mut.data_lines == 0:
+            print("warning: mutation table has no data rows", file=sys.stderr)
+        g, build_report = ingest.build_graph(
+            mut.rows, cli.rows, gda.rows, drg.rows, trt.rows if trt else None
         )
-    except (errors.MissingColumn, errors.InvalidEncoding) as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    if not mut.rows and mut.data_lines == 0:
-        print("warning: mutation table has no data rows", file=sys.stderr)
-    g, build_report = ingest.build_graph(
-        mut.rows, cli.rows, gda.rows, drg.rows, trt.rows if trt else None
-    )
+        gc.freeze()
+    finally:
+        if enabled:  # on every exit: in-process callers keep their policy
+            gc.enable()
     report = mut.issues + cli.issues + gda.issues + drg.issues
     if trt:
         report += trt.issues

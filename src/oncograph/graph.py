@@ -95,11 +95,20 @@ Edge = GeneticEdge | DiagnosisEdge | TreatmentEdge | GdaAssociation | TargetEdge
 
 
 def _unit_label_issue(e: GeneticEdge | GdaAssociation) -> str | None:
-    # The third field: a VAF (None if not given) or a GDA score, compared exactly.
+    # The third field: a VAF (None if not given) or a GDA score, compared
+    # exactly through its integer ratio, which costs one call where a
+    # Fraction's two rich comparisons run in pure Python.
     name, label = e._fields[2], e[2]
-    if not ((label is None and name == "vaf") or 0 <= label <= 1):
-        return f"{name} {label} outside [0, 1]"
-    return None
+    if label is None and name == "vaf":
+        return None
+    try:
+        n, d = label.as_integer_ratio()  # d > 0
+        inside = 0 <= n <= d
+    except AttributeError:  # not a number: the comparison raises TypeError
+        inside = 0 <= label <= 1
+    except (ValueError, OverflowError):  # a NaN or an infinity
+        inside = False
+    return None if inside else f"{name} {label} outside [0, 1]"
 
 
 def _treatment_issue(e: TreatmentEdge) -> str | None:

@@ -100,7 +100,7 @@ DrugTargetTableRow = namedtuple(
 
 
 class ParseResult:
-    """A table's rows, issues and count of data lines, filled in as it is read."""
+    """A table's rows and issues, filled in as it is read, and its count of data lines."""
 
     def __init__(self) -> None:
         self.rows: list = []
@@ -142,6 +142,8 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     required, optional = columns
     names = [*required, *optional]
     n_required = len(required)
+    rows, issues, strip = result.rows, result.issues, str.strip
+    data_lines = 0
     try:
         pick = None
         for lineno, raw in enumerate(stream, start=1):
@@ -164,14 +166,14 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
                     for c in (*required.values(), *optional.values())
                 ))
                 continue
-            result.data_lines += 1
+            data_lines += 1
             if len(cells) != width:
                 cells = (cells + [""] * width)[:width]
             cells.append("")
-            row = tuple(map(str.strip, pick(cells)))
+            row = tuple(map(strip, pick(cells)))
             if "" in row[:n_required]:
                 missing = [c for c, cell in zip(names, row[:n_required]) if not cell]
-                result.issues.append(ReportEntry(
+                issues.append(ReportEntry(
                     name, lineno, "error", f"missing required field(s): {', '.join(missing)}"
                 ))
                 continue
@@ -179,14 +181,14 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
                 bad = [f"{c} '{cell}'" for c, cell in zip(names, row)
                        if c in _ID_COLUMNS and "," in cell]
                 if bad:
-                    result.issues.append(
+                    issues.append(
                         ReportEntry(name, lineno, "error", f"comma in {', '.join(bad)}")
                     )
                     continue
             try:
-                result.rows.append(row_fn(*row))
+                rows.append(row_fn(*row))
             except ValueError as exc:
-                result.issues.append(ReportEntry(name, lineno, "error", str(exc)))
+                issues.append(ReportEntry(name, lineno, "error", str(exc)))
     except UnicodeDecodeError:
         # Text streams decode in chunks, so the failing line is found only
         # here, by decoding the file again line by line.
@@ -195,6 +197,7 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     finally:
         if close:
             stream.close()
+    result.data_lines = data_lines
     return result
 
 
@@ -279,9 +282,13 @@ def parse_mutation_table(source) -> ParseResult:
             if mutation is None:
                 mutation = keys[locus] = MutationKey(*locus)
             spelled[cells] = mutation
-        if vaf not in vafs:  # a sentinel ("" too: not given) is None; a bad text raises
-            vafs[vaf] = None if vaf.lower() in _VAF_SENTINELS else _unit_interval("vaf", vaf)
-        return GeneticEdge(ids.setdefault(sample_id, sample_id), mutation, vafs[vaf])
+        try:
+            value = vafs[vaf]
+        except KeyError:  # a sentinel ("" too: not given) is None; a bad text raises
+            value = vafs[vaf] = (
+                None if vaf.lower() in _VAF_SENTINELS else _unit_interval("vaf", vaf)
+            )
+        return GeneticEdge(ids.setdefault(sample_id, sample_id), mutation, value)
 
     return _parse_table(source, MUTATION_COLUMNS, row_fn)
 

@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import gc
 import io
 import json
 import os
@@ -77,6 +78,35 @@ class TestExitCodes:
         assert run(["build"] + args) == 64
         assert capsys.readouterr().err == "missing required input: --clinical\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("built", 0), ("no --mutations", 64), ("no file", 2), ("no gene column", 2),
+         ("not UTF-8", 2)],
+    )
+    def test_the_collector_is_on_after_every_exit(self, tmp_path, case, code, capsys):
+        mutations = tmp_path / "mutations.tsv"
+        text = (FIXTURES / "mutations.tsv").read_bytes()
+        if case == "no gene column":
+            mutations.write_bytes(text.replace(b"\tgene\t", b"\tsymbol\t", 1))
+        elif case == "not UTF-8":
+            mutations.write_bytes(text.replace(b"KRAS", b"KR\xc9S", 1))
+        elif case == "built":
+            mutations = FIXTURES / "mutations.tsv"
+        args = fixture_args(tmp_path / "out", mutations=mutations)
+        if case == "no --mutations":
+            del args[:2]
+        assert gc.isenabled()
+        assert run(["build"] + args) == code
+        assert gc.isenabled()
+
+    def test_a_collector_found_off_stays_off(self, tmp_path, capsys):
+        gc.disable()
+        try:
+            assert run(["build"] + fixture_args(tmp_path)) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
         out = tmp_path / "taken"

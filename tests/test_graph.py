@@ -1,5 +1,6 @@
 import copy
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -361,6 +362,59 @@ def test_insertion_error_texts(method, items, exc, text):
         insert(items[-1])
     assert raised.type is exc
     assert str(raised.value) == text
+
+
+TINY = Fraction(1, 10**30)
+OUTSIDE = errors.InvalidLabel
+
+
+@pytest.mark.parametrize("edge_type, field", [(GeneticEdge, "vaf"), (GdaAssociation, "gda_score")])
+@pytest.mark.parametrize(
+    "label, exc, text",
+    [
+        (Fraction(0), None, None),
+        (Fraction(1), None, None),
+        (1 + TINY, OUTSIDE, f"{1 + TINY} outside [0, 1]"),
+        (-TINY, OUTSIDE, f"{-TINY} outside [0, 1]"),
+        (0, None, None),
+        (1, None, None),
+        (7, OUTSIDE, "7 outside [0, 1]"),
+        (True, None, None),
+        (1.5, OUTSIDE, "1.5 outside [0, 1]"),
+        (float("nan"), OUTSIDE, "nan outside [0, 1]"),
+        (float("inf"), OUTSIDE, "inf outside [0, 1]"),
+        (float("-inf"), OUTSIDE, "-inf outside [0, 1]"),
+        (Decimal("0.5"), None, None),
+        (Decimal("1.0000000000000000000001"), OUTSIDE,
+         "1.0000000000000000000001 outside [0, 1]"),
+        ("0.5", TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+    ],
+    ids=repr,
+)
+def test_unit_label_rule(edge_type, field, label, exc, text):
+    """The [0, 1] rule of VAF and GDA score labels, exact for every number
+    type; a label that is not a number is a TypeError, not a verdict."""
+    g = small_graph()
+    edge = edge_type("P1" if edge_type is GeneticEdge else "D1", KRAS_MUT, label)
+    if exc is None:
+        g.add_edges([edge])
+        assert g.edge_counts()[COLOR_OF[edge_type].value] == 1
+        return
+    with pytest.raises(exc) as raised:
+        g.add_edges([edge])
+    assert raised.type is exc
+    assert str(raised.value) == (text if exc is TypeError else f"{field} {text}")
+    assert g.edge_counts()[COLOR_OF[edge_type].value] == 0
+
+
+def test_a_missing_label_is_a_vaf_only():
+    g = small_graph()
+    g.add_edges([GeneticEdge("P1", KRAS_MUT, None)])
+    assert g.vaf("P1", KRAS_MUT) is None
+    with pytest.raises(TypeError) as raised:
+        g.add_edges([GdaAssociation("D1", KRAS_MUT, None)])
+    assert raised.type is TypeError
+    assert str(raised.value) == "'<=' not supported between instances of 'int' and 'NoneType'"
 
 
 def held_graph():
