@@ -129,7 +129,9 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
             raise SystemExit(EXIT_IO)
     # The load makes no garbage cycles, so a collection during it would only
     # rescan what it built; frozen after it, the graph is never rescanned by
-    # the collections of the command that reads it.
+    # the collections of the command that reads it. The parser that main
+    # built is young cyclic garbage by now: collected first, it is not frozen.
+    gc.collect(1)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -360,10 +362,17 @@ def cmd_treat(args) -> int:
     g, _ = _load(args)
     out = _outdir(args)
     # A target names one of the patient's mutations, the least by key of two
-    # that render alike. An unknown patient or mutation, one the patient does
-    # not carry, or an untargetable one, exits 3 in main.
+    # that render alike. An unknown patient or mutation exits 3 here; one the
+    # patient does not carry, or an untargetable one, exits 3 in main.
+    if args.patient not in g.patients:
+        print(f"unknown patient {args.patient}", file=sys.stderr)
+        return EXIT_DOMAIN
     own = {m.display(): m for m in sorted(g.mutations_of_patient(args.patient), reverse=True)}
-    targets = [own.get(t) or g.mutation_by_display(t) for t in args.targets.split(",") if t]
+    try:
+        targets = [own.get(t) or g.mutation_by_display(t) for t in args.targets.split(",") if t]
+    except errors.UnknownMutation as exc:
+        print(f"unknown mutation {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     instance = hs.build_instance(g, args.patient, targets)
     solution = (
         hs.solve_min_weight(instance)
@@ -442,8 +451,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    # The parser is not kept: _load collects it before it freezes the graph.
+    args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
     except errors.OncographError as exc:

@@ -10,19 +10,18 @@ in order, whose keys are the edge's first two fields, the range rule of its
 label, and whether a pair may repeat; another gives each node type's
 partition and key. So an edge's type fixes which partitions it joins, and
 no edge can join two nodes of one partition. ``add_node`` and ``add_edges``
-read these tables and are the gate, which states each rule once; each
-color's list of typed edge records is the source of truth. Node tables are
-read through read-only views and edge records as tuples, so only the gate
-writes to a graph, and ``validate`` replays a graph through it.
-Each edge type whose pairs may not repeat also has an index, first key ->
-{second key: the position of the pair's record in its color's list}:
-patient -> mutations, disease -> patients, disease -> mutations and
-mutation -> drugs. Duplicate checks and queries are lookups in these
-indexes, and a query reads a label (VAF, GDA score) off the record. A
-repeated pair raises, or goes to the caller's ``repeat`` policy, which keeps
-the held edge or the new one. Treatments may repeat and no query reads
-them, so they are kept as records only; the graph keeps no other index,
-none by gene.
+read these tables and are the gate, which states each rule once. Node tables
+are read through read-only views and edge records as tuples, so only the
+gate writes to a graph, and ``validate`` replays a graph through it.
+Each edge type has one store, its edges' only copy. A type whose pairs may
+not repeat keeps first key -> {second key: edge}: patient -> mutations,
+disease -> patients, disease -> mutations and mutation -> drugs. Duplicate
+checks and queries are lookups in these stores, and a query reads a label
+(VAF, GDA score) off the stored edge. A repeated pair raises, or goes to
+the caller's ``repeat`` policy, which keeps the held edge or puts the new
+one in its slot. Treatments may repeat and no query reads them, so their
+store is a list, and a color's edge records are read off its types'
+stores; the graph keeps no other index, none by gene.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -123,7 +122,7 @@ def _treatment_issue(e: TreatmentEdge) -> str | None:
 # whose keys are its first two fields; check, edge -> the label rule it
 # breaks or None (check is None for diagnoses and targets, which carry no
 # label); and duplicate, what a repeated pair reports (None: it may repeat,
-# and the type has no index).
+# and the type's store is a list).
 _EdgeKind = namedtuple("_EdgeKind", "color first second check duplicate")
 
 _EDGE_KINDS = {
@@ -144,6 +143,9 @@ _EDGE_KINDS = {
     ),
 }
 
+# Each color's edge types, in the order above.
+_TYPES_OF = {c: [t for t, kind in _EDGE_KINDS.items() if kind.color is c] for c in EdgeColor}
+
 # Each node type's partition and the field holding its key (None: the node is the key).
 _NODE_KINDS = {
     PatientRecord: (Partition.PATIENT, "patient_id"),
@@ -160,12 +162,8 @@ class KnowledgeGraph:
         # One table per partition, key -> node; the queries name them.
         self._nodes: dict[Partition, dict] = {part: {} for part in Partition}
         self._patients, self._mutations, self._diseases, self._drugs = self._nodes.values()
-        self._records: dict[EdgeColor, list[Edge]] = {c: [] for c in EdgeColor}
-        # One index per edge type whose pairs may not repeat, first key ->
-        # {second key: record position}, filled by add_edges with the records.
-        self._index: dict[type, dict[object, dict[object, int]]] = {
-            t: {} for t, kind in _EDGE_KINDS.items() if kind.duplicate
-        }
+        # One store per edge type, filled by add_edges (see the module docstring).
+        self._edges = {t: {} if kind.duplicate else [] for t, kind in _EDGE_KINDS.items()}
 
     # ------------------------------------------------------------------
     # Nodes
@@ -245,9 +243,9 @@ class KnowledgeGraph:
         repeated pair of a kind that may not repeat; the edges before it
         stay inserted. With ``repeat``, a repeated pair calls ``repeat(held,
         new)`` instead, which must return one of its two arguments: the held
-        edge stays, or the new one replaces it in place; any other result
-        raises DuplicateEdge, and the held record stays. The tables of an
-        edge type are looked up once per run of its edges.
+        edge stays, or the new one replaces it in the pair's slot; any other
+        result raises DuplicateEdge, and the held edge stays. The tables of
+        an edge type are looked up once per run of its edges.
         """
         edge_type = None
         for edge in edges:
@@ -257,9 +255,8 @@ class KnowledgeGraph:
                     kind = _EDGE_KINDS[edge_type]
                 except KeyError:
                     raise TypeError(f"unsupported edge type {edge_type.__name__}") from None
-                check, index = kind.check, self._index.get(edge_type)
+                check, store = kind.check, self._edges[edge_type]
                 firsts, seconds = self._nodes[kind.first], self._nodes[kind.second]
-                records = self._records[kind.color]
             if check:
                 issue = check(edge)
                 if issue:
@@ -268,69 +265,68 @@ class KnowledgeGraph:
             if a not in firsts or b not in seconds:
                 part, key = (kind.first, a) if a not in firsts else (kind.second, b)
                 raise errors.MissingEndpoint(f"{part.value} {key_text(key)}")
-            if index is not None:
-                adjacent = index.get(a)
-                if adjacent is None:
-                    adjacent = index[a] = {}
-                elif b in adjacent:
-                    held = records[adjacent[b]]
-                    kept = None if repeat is None else repeat(held, edge)
-                    if kept is not held and kept is not edge:
-                        raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
-                    records[adjacent[b]] = kept
-                    continue
-                adjacent[b] = len(records)
-            records.append(edge)
+            if kind.duplicate is None:
+                store.append(edge)
+            elif (adjacent := store.get(a)) is None:
+                store[a] = {b: edge}
+            elif (held := adjacent.get(b)) is None:
+                adjacent[b] = edge
+            else:
+                kept = None if repeat is None else repeat(held, edge)
+                if kept is not held and kept is not edge:
+                    raise errors.DuplicateEdge(f"{kind.duplicate} {key_text(a)}-{key_text(b)}")
+                adjacent[b] = kept
 
     def edge_records(self, color: EdgeColor) -> tuple[Edge, ...]:
-        """The typed edges of one color, as a tuple: only add_edges writes them."""
-        return tuple(self._records[color])
+        """The typed edges of one color, as a tuple that only add_edges
+        writes: type by type in _EDGE_KINDS order, treatments in input order,
+        other types grouped by first key in first-seen order."""
+        return tuple(e for t in _TYPES_OF[color] for e in _stored(self._edges[t]))
 
     def edge_counts(self) -> dict[str, int]:
-        return {c.value: len(self._records[c]) for c in EdgeColor}
+        return {c.value: len(self.edge_records(c)) for c in EdgeColor}
 
     # ------------------------------------------------------------------
     # Queries
 
     def mutations_of_patient(self, patient_id: str) -> set[MutationKey]:
         self.patient(patient_id)
-        return set(self._index[GeneticEdge].get(patient_id, ()))
+        return set(self._edges[GeneticEdge].get(patient_id, ()))
 
     def patients_of_disease(self, disease_id: str) -> set[str]:
         self.disease(disease_id)
-        return set(self._index[DiagnosisEdge].get(disease_id, ()))
+        return set(self._edges[DiagnosisEdge].get(disease_id, ()))
 
     def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
         """The mutations of a disease's magenta edges, with their GDA scores."""
         self.disease(disease_id)
-        records = self._records[EdgeColor.MAGENTA]
-        edges = self._index[GdaAssociation].get(disease_id, {})
-        return {m: records[at].gda_score for m, at in edges.items()}
+        edges = self._edges[GdaAssociation].get(disease_id, {})
+        return {m: e.gda_score for m, e in edges.items()}
 
     def target_drugs(self, mutation: MutationKey) -> set[str]:
         """Drugs with a known effect on the mutation (its magenta drug edges)."""
         if mutation not in self._mutations:
             raise errors.UnknownMutation(mutation.display())
-        return set(self._index[TargetEdge].get(mutation, ()))
+        return set(self._edges[TargetEdge].get(mutation, ()))
 
     def vaf(self, patient_id: str, mutation: MutationKey) -> Fraction | None:
         """The VAF on the patient's green edge to ``mutation`` (a Fraction from ingest) or None."""
         self.patient(patient_id)
-        at = self._index[GeneticEdge].get(patient_id, {}).get(mutation)
-        if at is None:
+        edge = self._edges[GeneticEdge].get(patient_id, {}).get(mutation)
+        if edge is None:
             raise errors.NotPatientMutation(key_text(mutation), patient_id)
-        return self._records[EdgeColor.GREEN][at].vaf
+        return edge.vaf
 
 
 def validate(graph: KnowledgeGraph) -> list[str]:
-    """Replay ``graph`` through the gate: insert its nodes, then each color's
-    edge records in order, into an empty graph. Returns the text of each
-    refusal, then one entry per partition or color whose table, records or
-    indexes the replay fills differently; empty exactly when the graph
+    """Replay ``graph`` through the gate: insert its nodes, then each edge
+    type's stored edges in order, into an empty graph. Returns the text of
+    each refusal, then one entry per partition or color whose table or edge
+    stores the replay fills differently; empty exactly when the graph
     equals its replay, as a graph built through the gate does."""
     replay, out = KnowledgeGraph(), []
     nodes = (node for table in graph._nodes.values() for node in table.values())
-    edges = ((edge,) for records in graph._records.values() for edge in records)
+    edges = ((edge,) for store in graph._edges.values() for edge in _stored(store))
     for insert, items in ((replay.add_node, nodes), (replay.add_edges, edges)):
         for item in items:
             try:
@@ -341,11 +337,14 @@ def validate(graph: KnowledgeGraph) -> list[str]:
         if not _same(replay._nodes[part], graph._nodes[part], dict.values):
             out.append(f"{part.value} table differs from its replay")
     for color in EdgeColor:
-        types = [t for t, kind in _EDGE_KINDS.items() if kind.color is color]
-        if (not _same(replay._records[color], graph._records[color])
-                or any(replay._index.get(t) != graph._index.get(t) for t in types)):
+        if not all(_same(replay._edges[t], graph._edges[t], _stored) for t in _TYPES_OF[color]):
             out.append(f"{color.value} edges differ from their replay")
     return out
+
+
+def _stored(store):
+    """The edges in one type's store, in order: a list, or first key -> {second key: edge}."""
+    return store if isinstance(store, list) else (e for d in store.values() for e in d.values())
 
 
 def _same(a, b, values=iter) -> bool:

@@ -377,7 +377,7 @@ def build_graph(
     Patients come first, each with its diagnosis edge (disease nodes are
     created on first sight). Green edges of known patients stream into one
     ``add_edges`` call, each mutation node added at its first accepted row;
-    a pair that the green index finds repeated keeps the edge of maximum
+    a pair that the green store finds repeated keeps the edge of maximum
     VAF, compared exactly (None is below any number; a tie keeps the earlier
     row), and rows of unknown samples are reported as orphans. Gene-level
     association and drug target rows fan out to every mutation node on their
@@ -386,9 +386,10 @@ def build_graph(
     check every rule of the graph, and ``max_vaf`` keeps one of the two
     edges it is given.
 
-    Green edges and their mutation nodes go in unsorted, in the order of
-    each pair's first accepted row; the other rows are sorted, which fixes
-    the order of the build report's notes.
+    Mutation nodes go in unsorted, in the order of their first accepted
+    row, and the green store groups the edges by patient, in the order of
+    each patient's first accepted row. The other rows are sorted, which
+    fixes the order of the build report's notes.
     """
     graph = KnowledgeGraph()
     report: list[ReportEntry] = []

@@ -32,6 +32,7 @@ from oncograph import (
 from conftest import FIXTURES, GOLDEN, make_mutation, random_graph
 from oracles import hamming_distance, jaccard_distance, oracle_solve
 from test_cohort import brute_force_coexist, prof
+from test_graph import forge as forge_edge
 from test_hitting_set import random_instance
 from test_knowledge import brute_force_sets
 
@@ -174,19 +175,23 @@ def test_graph_invariants():
     m, ghost = make_mutation("KRAS", 1), make_mutation("GHOST", 9)
     green = EdgeColor.GREEN
     bad = PatientRecord("BAD", -1, True)
+
+    def file_green(edge):
+        return lambda g: forge_edge(g, GeneticEdge, edge)
+
     cases = [
         # 1. partition violation: a disease-patient edge filed as green
         (lambda g: g.edge_records(green).append(DiagnosisEdge("D1", "P1")), AttributeError,
-         lambda g: g._records[green].append(DiagnosisEdge("D1", "P1"))),
+         file_green(DiagnosisEdge("D1", "P1"))),
         # 2. dangling endpoint: green edge to a mutation node never added
         (lambda g: g.add_edges([GeneticEdge("P2", ghost, 0.5)]), errors.MissingEndpoint,
-         lambda g: g._records[green].append(GeneticEdge("P2", ghost, 0.5))),
+         file_green(GeneticEdge("P2", ghost, 0.5))),
         # 3. label out of range: vaf past 1
         (lambda g: g.add_edges([GeneticEdge("P2", m, 1.5)]), errors.InvalidLabel,
-         lambda g: g._records[green].append(GeneticEdge("P2", m, 1.5))),
+         file_green(GeneticEdge("P2", m, 1.5))),
         # 4. duplicate pairwise-unique edge
         (lambda g: g.add_edges([GeneticEdge("P1", m, 0.4)]), errors.DuplicateEdge,
-         lambda g: g._records[green].append(GeneticEdge("P1", m, 0.4))),
+         file_green(GeneticEdge("P1", m, 0.4))),
         # 5. node invariant: negative survival put into the partition
         (lambda g: operator.setitem(g.patients, "BAD", bad), TypeError,
          lambda g: operator.setitem(g._patients, "BAD", bad)),

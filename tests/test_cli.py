@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import contextlib
 import gc
@@ -107,6 +108,25 @@ class TestExitCodes:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+    def test_in_process_calls_freeze_no_parser(self, tmp_path, capsys):
+        # The load freezes every object the collector tracks, so a parser
+        # that main still held, or left uncollected, would stay for good.
+        gc.unfreeze()
+        gc.collect()
+        for _ in range(5):
+            assert run(["build"] + fixture_args(tmp_path)) == 0
+        gc.unfreeze()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            parts = (argparse.ArgumentParser, argparse.Action, argparse.HelpFormatter)
+            left = sum(isinstance(o, parts) for o in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert left == 0
 
     def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -229,6 +249,12 @@ class TestTreat:
             "--patient", "NOPE", "--targets", "KRAS_12_25398284_25398284",
         ]
         assert run(["treat"] + args) == 3
+        assert capsys.readouterr().err == "unknown patient NOPE\n"
+
+    def test_unknown_mutation_is_3(self, tmp_path, capsys):
+        args = fixture_args(tmp_path) + ["--patient", "P1", "--targets", "NOPE_1_1_1"]
+        assert run(["treat"] + args) == 3
+        assert capsys.readouterr().err == "unknown mutation NOPE_1_1_1\n"
 
 
 def write_inputs(tmp_path, patients, mutations):

@@ -155,8 +155,8 @@ class TestDuplicateEdges:
         assert g.mutations_of_patient("P1") == {KRAS_MUT, TERT_MUT}
         for e in g.edge_records(EdgeColor.GREEN):
             assert g.vaf(e.patient_id, e.mutation) == e.vaf
-        # A policy covers the other indexed kinds too, and GDA scores are
-        # read off the record at the pair's position.
+        # A policy covers the other pair kinds too, and GDA scores are read
+        # off the edge in the pair's slot.
         gda = [GdaAssociation("D2", TERT_MUT, Fraction(1, 4)),
                GdaAssociation("D1", KRAS_MUT, Fraction(1, 2)),
                GdaAssociation("D2", TERT_MUT, Fraction(3, 4))]
@@ -225,6 +225,118 @@ def add_random_treatments(g, rng):
         for order in range(rng.randint(0, 2)):
             drug = rng.choice(sorted(g.drugs))
             g.add_edges([TreatmentEdge(pid, drug, order, rng.choice(list(Effectiveness)))])
+
+
+class TestEdgeStore:
+    """Each edge is stored once, in its type's store; the records, the counts
+    and every query are read off the stores."""
+
+    def test_records_group_by_first_key_in_first_seen_order(self):
+        g = small_graph()
+        edges = [
+            GeneticEdge("P1", KRAS_MUT, Fraction(1, 10)),
+            GeneticEdge("P2", KRAS_MUT, Fraction(2, 10)),
+            GeneticEdge("P1", TERT_MUT, Fraction(3, 10)),
+            GeneticEdge("P3", TERT_MUT, Fraction(4, 10)),
+            GeneticEdge("P2", TERT_MUT, Fraction(5, 10)),
+            GeneticEdge("P1", KRAS_MUT, Fraction(6, 10)),  # replaces the first edge
+        ]
+        g.add_edges(edges, repeat=lambda held, new: new)
+        kept = (edges[5], edges[2], edges[1], edges[4], edges[3])
+        green = g.edge_records(EdgeColor.GREEN)
+        assert green == kept
+        assert all(e is k for e, k in zip(green, kept))
+        assert g.vaf("P1", KRAS_MUT) == Fraction(6, 10)
+        # A color lists its types' stores in turn: diagnoses before treatments.
+        treatment = TreatmentEdge("P2", "drugA", 0, POS)
+        g.add_edges([treatment, DiagnosisEdge("D1", "P3"), DiagnosisEdge("D1", "P1")])
+        assert g.edge_records(EdgeColor.RED) == (
+            DiagnosisEdge("D1", "P3"), DiagnosisEdge("D1", "P1"), treatment
+        )
+        assert validate(g) == []
+
+    @pytest.mark.parametrize("policy", [None, "held", "new", "either"])
+    def test_random_insert_sequences(self, policy):
+        rng = random.Random(f"edge store {policy}")
+        choose = {
+            None: None,
+            "held": lambda held, new: held,
+            "new": lambda held, new: new,
+            "either": lambda held, new: rng.choice((held, new)),
+        }[policy]
+        patients, diseases, drugs = ["P1", "P2", "P3"], ["D1", "D2"], ["drugA", "drugB"]
+        mutations = [KRAS_MUT, TERT_MUT, MutationKey("TP53", "17", 5, 5)]
+
+        def random_edge():
+            label = Fraction(rng.randint(0, 4), 4)
+            kind = rng.randrange(5)
+            if kind == 0:
+                return GeneticEdge(rng.choice(patients), rng.choice(mutations), label)
+            if kind == 1:
+                return DiagnosisEdge(rng.choice(diseases), rng.choice(patients))
+            if kind == 2:
+                return TreatmentEdge(rng.choice(patients), rng.choice(drugs),
+                                     rng.randint(0, 2), rng.choice(list(Effectiveness)))
+            if kind == 3:
+                return GdaAssociation(rng.choice(diseases), rng.choice(mutations), label)
+            return TargetEdge(rng.choice(mutations), rng.choice(drugs))
+
+        for _ in range(30):
+            g = KnowledgeGraph()
+            for pid in patients:
+                g.add_node(PatientRecord(pid, 1, True))
+            for node in [*mutations, *map(DiseaseNode, diseases), *map(DrugNode, drugs)]:
+                g.add_node(node)
+            sent = []  # every edge offered, kept alive so that ids stay unique
+            # Each type's pairs in store order: first key -> [second keys],
+            # or a list of pairs for treatments.
+            model = {t: [] if t is TreatmentEdge else {} for t in COLOR_OF}
+            for _ in range(rng.randint(0, 12)):
+                batch = [random_edge() for _ in range(rng.randint(1, 4))]
+                sent += batch
+                for e in batch:  # without a policy, the first repeat ends the batch
+                    if type(e) is TreatmentEdge:
+                        model[TreatmentEdge].append(e[:2])
+                    elif e[1] not in model[type(e)].get(e[0], ()):
+                        model[type(e)].setdefault(e[0], []).append(e[1])
+                    elif policy is None:
+                        break
+                try:
+                    g.add_edges(batch, repeat=choose)
+                except errors.DuplicateEdge:
+                    assert policy is None
+            records = {c: g.edge_records(c) for c in EdgeColor}
+            for c in EdgeColor:
+                assert [(type(e), *e[:2]) for e in records[c]] == [
+                    (t, *pair) for t, pairs in model.items() if COLOR_OF[t] is c
+                    for pair in (pairs if t is TreatmentEdge
+                                 else [(a, b) for a, bs in pairs.items() for b in bs])
+                ]
+            assert g.edge_counts() == {c.value: len(records[c]) for c in EdgeColor}
+            assert {id(e) for r in records.values() for e in r} <= set(map(id, sent))
+            green, red, magenta = records.values()
+            keys = [(type(e), *e[:2]) for r in records.values() for e in r
+                    if type(e) is not TreatmentEdge]
+            assert len(keys) == len(set(keys))
+            for pid in patients:
+                assert g.mutations_of_patient(pid) == {
+                    e.mutation for e in green if e.patient_id == pid
+                }
+            for e in green:
+                assert g.vaf(e.patient_id, e.mutation) is e.vaf
+            for d in diseases:
+                assert g.patients_of_disease(d) == {
+                    e.patient_id for e in red if type(e) is DiagnosisEdge and e.disease_id == d
+                }
+                assert g.gda_scores(d) == {
+                    e.mutation: e.gda_score for e in magenta
+                    if type(e) is GdaAssociation and e.disease_id == d
+                }
+            for m in mutations:
+                assert g.target_drugs(m) == {
+                    e.drug_id for e in magenta if type(e) is TargetEdge and e.mutation == m
+                }
+            assert validate(g) == []
 
 
 class TestIndexesMatchRecords:
@@ -429,12 +541,28 @@ def held_graph():
     return g
 
 
+def forge(g, edge_type, record, pair=None):
+    """Writes ``record`` into the private store of ``edge_type``: last in a
+    list, else under ``pair``, or under its own pair when ``pair`` is None.
+    A store holds one edge per pair, so a record whose own pair is held goes
+    under a second key that is not its own, as a forged repeat."""
+    store = g._edges[edge_type]
+    if isinstance(store, list):
+        store.append(record)
+        return
+    first, second = pair or record[:2]
+    adjacent = store.setdefault(first, {})
+    if pair is None and second in adjacent:
+        second = ("repeat of", second)
+    adjacent[second] = record
+
+
 def forged_report(g, where, key, record):
     """validate's report once ``record`` is written where no insert puts it:
-    in the color ``where``'s edge records (at position ``key``, or last when
-    ``key`` is None), or in the private node table named ``where`` (under
-    ``key``). Asserts that the report opens with the text of the gate's own
-    refusal of ``record``, if the gate refuses it, and returns the rest."""
+    in the store of the edge type ``where`` (see forge; ``key`` is the pair
+    or None), or in the private node table named ``where`` (under ``key``).
+    Asserts that the report opens with the text of the gate's own refusal
+    of ``record``, if the gate refuses it, and returns the rest."""
     spare = copy.deepcopy(g)
     insert = spare.add_node if isinstance(where, str) else lambda r: spare.add_edges([r])
     try:
@@ -444,10 +572,8 @@ def forged_report(g, where, key, record):
         refusal = [str(exc)]
     if isinstance(where, str):
         getattr(g, where)[key] = record
-    elif key is None:
-        g._records[where].append(record)
     else:
-        g._records[where][key] = record
+        forge(g, where, record, key)
     report = validate(g)
     assert report[:len(refusal)] == refusal
     return report[len(refusal):]
@@ -466,14 +592,14 @@ GREEN, RED, MAGENTA = EdgeColor
 @pytest.mark.parametrize(
     "where, key, record, rest",
     [
-        pytest.param(GREEN, None, DiagnosisEdge("D1", "P2"), differs(GREEN, RED),
+        pytest.param(GeneticEdge, None, DiagnosisEdge("D1", "P2"), differs(GREEN, RED),
                      id="wrong colour"),
-        pytest.param(GREEN, None, ("P2", TERT_MUT), differs(GREEN), id="not an edge"),
-        pytest.param(GREEN, None, GeneticEdge("P2", GHOST_MUT, 0.3), differs(GREEN),
+        pytest.param(GeneticEdge, None, ("P2", TERT_MUT), differs(GREEN), id="not an edge"),
+        pytest.param(GeneticEdge, None, GeneticEdge("P2", GHOST_MUT, 0.3), differs(GREEN),
                      id="dangling"),
-        pytest.param(MAGENTA, None, GdaAssociation("D1", TERT_MUT, Fraction(3, 2)),
+        pytest.param(GdaAssociation, None, GdaAssociation("D1", TERT_MUT, Fraction(3, 2)),
                      differs(MAGENTA), id="label"),
-        pytest.param(GREEN, None, GeneticEdge("P1", KRAS_MUT, 0.4), differs(GREEN),
+        pytest.param(GeneticEdge, None, GeneticEdge("P1", KRAS_MUT, 0.4), differs(GREEN),
                      id="duplicate"),
         pytest.param("_patients", "BAD", PatientRecord("BAD", -1, True), differs("patient"),
                      id="node rule"),
@@ -482,10 +608,10 @@ GREEN, RED, MAGENTA = EdgeColor
         pytest.param("_patients", "A", PatientRecord("B", 3, True), differs("patient"),
                      id="node under another key"),
         pytest.param("_diseases", "D9", ("D9",), differs("disease"), id="not a node"),
-        # What an unchecked repeat policy could leave: P1's held record
-        # replaced by an edge of P2, while the index still files it as P1's.
-        pytest.param(GREEN, 0, GeneticEdge("P2", KRAS_MUT, 0.3), differs(GREEN),
-                     id="repeat under another pair"),
+        # What an unchecked repeat policy could leave: P1's held edge
+        # replaced by an edge of P2, which the store still files as P1's.
+        pytest.param(GeneticEdge, ("P1", KRAS_MUT), GeneticEdge("P2", KRAS_MUT, 0.3),
+                     differs(GREEN), id="repeat under another pair"),
     ],
 )
 def test_a_private_write_is_reported(where, key, record, rest):
@@ -503,12 +629,13 @@ class TestValidate:
 
     def test_forged_same_partition_edge(self):
         g = small_graph()
-        assert forged_report(g, GREEN, None, DiagnosisEdge("D1", "P1")) == differs(GREEN, RED)
+        report = forged_report(g, GeneticEdge, None, DiagnosisEdge("D1", "P1"))
+        assert report == differs(GREEN, RED)
 
     def test_gda_score_injected_out_of_range(self):
         g = small_graph()
         edge = GdaAssociation("D1", KRAS_MUT, 1.2)
-        assert forged_report(g, MAGENTA, None, edge) == differs(MAGENTA)
+        assert forged_report(g, GdaAssociation, None, edge) == differs(MAGENTA)
         assert validate(g)[0] == "gda_score 1.2 outside [0, 1]"
 
     @pytest.mark.parametrize(
@@ -527,14 +654,16 @@ class TestValidate:
         ],
     )
     def test_edge_under_a_wrong_color(self, edge, color, text):
-        # The replay files the edge under its own color, so both colors differ.
+        # Filed in the first store of another color, the edge is replayed
+        # under its own color, so both colors differ.
         g = small_graph()
         both = [c for c in EdgeColor if c in (color, COLOR_OF[type(edge)])]
-        assert forged_report(g, color, None, edge) == differs(*both), text
+        store = next(t for t, c in COLOR_OF.items() if c is color)
+        assert forged_report(g, store, None, edge) == differs(*both), text
 
     def test_record_that_is_not_an_edge(self):
         g = small_graph()
-        assert forged_report(g, GREEN, None, ("P1", KRAS_MUT)) == differs(GREEN)
+        assert forged_report(g, GeneticEdge, None, ("P1", KRAS_MUT)) == differs(GREEN)
         assert validate(g)[0] == "unsupported edge type tuple"
 
     @pytest.mark.parametrize(
@@ -555,7 +684,7 @@ class TestValidate:
     def test_forged_edge_with_a_missing_endpoint(self, edge):
         g = small_graph()
         color = COLOR_OF[type(edge)]
-        assert forged_report(g, color, None, edge) == differs(color)
+        assert forged_report(g, type(edge), None, edge) == differs(color)
         assert "NOPE" in validate(g)[0] or "GHOST" in validate(g)[0]
 
     def test_randomized_construction_always_clean(self):
@@ -603,7 +732,7 @@ class TestOneStatementPerRule:
         g = small_graph()
         with pytest.raises(errors.InvalidLabel):
             g.add_edges([edge])
-        assert forged_report(g, color, None, edge) == differs(color)
+        assert forged_report(g, type(edge), None, edge) == differs(color)
 
 
 class TestValidateAgreesWithTheGate:
@@ -640,21 +769,23 @@ class TestValidateAgreesWithTheGate:
         with pytest.raises(self.REFUSAL[refusal]):
             g.add_edges([edge])
         color = COLOR_OF[type(edge)]
-        assert forged_report(g, color, None, edge) == differs(color)
+        assert forged_report(g, type(edge), None, edge) == differs(color)
 
     def test_every_faulty_record_of_a_color_is_reported(self):
         # Each record is replayed on its own, so a refusal does not hide the
-        # records after it; refusals come in record order.
+        # records after it; refusals come in record order, which groups a
+        # store's records by first key.
         g = held_graph()
-        g._records[GREEN].extend([
+        for record in [
             GeneticEdge("P1", KRAS_MUT, 0.4),  # repeats the held pair
             GeneticEdge("P2", KRAS_MUT, 0.5),
             GeneticEdge("P2", TERT_MUT, 7),
             DiagnosisEdge("D1", "P3"),
-            GeneticEdge("P3", TERT_MUT, 0.1),
             GeneticEdge("NOPE", TERT_MUT, 0.2),
-            GeneticEdge("P3", TERT_MUT, 0.9),  # repeats a pair after two refusals
-        ])
+            GeneticEdge("P3", TERT_MUT, 0.1),
+            GeneticEdge("P3", TERT_MUT, 0.9),  # repeats a pair after three refusals
+        ]:
+            forge(g, GeneticEdge, record)
         assert validate(g) == [
             f"genetic edge P1-{KRAS}",
             "vaf 7 outside [0, 1]",
@@ -748,11 +879,11 @@ class TestRecords:
             g.add_edges([green])
         with pytest.raises(errors.DuplicateEdge, match="^gda X-"):
             g.add_edges([magenta])
-        # Swapped through the private records, each is still told apart.
+        # Swapped through the private stores, each is still told apart.
         swapped = copy.deepcopy(g)
-        swapped._records[EdgeColor.GREEN][0] = magenta
-        swapped._records[EdgeColor.MAGENTA][0] = green
+        swapped._edges[GeneticEdge]["X"][KRAS_MUT] = magenta
+        swapped._edges[GdaAssociation]["X"][KRAS_MUT] = green
         assert validate(swapped) == differs(GREEN, MAGENTA)
         # A forged repeat of one is a duplicate of its own color only.
-        assert forged_report(g, MAGENTA, None, magenta) == differs(MAGENTA)
+        assert forged_report(g, GdaAssociation, None, magenta) == differs(MAGENTA)
         assert validate(g)[0] == f"gda X-{KRAS_MUT.display()}"

@@ -364,7 +364,8 @@ class TestBuildGraph:
     def test_collapse_rule_pinned(self):
         # Repeats of each kind, interleaved with orphan rows: an absent VAF
         # loses to any number, a tie keeps the earlier row, and a pair stays
-        # at its first accepted row even when a later row wins.
+        # at its first accepted row even when a later row wins; the edges
+        # come grouped by patient, in first-seen order.
         rows = [
             mut_row("P1", "KRAS", 100, None),
             mut_row("P9", "KRAS", 100),  # orphan
@@ -382,12 +383,12 @@ class TestBuildGraph:
         ]
         g, report = ingest.build_graph(rows, [clin_row(p) for p in ("P1", "P2", "P3")], [], [])
         green = g.edge_records(EdgeColor.GREEN)
-        kept = (rows[10], rows[3], rows[4], rows[8], rows[12])
+        kept = (rows[10], rows[3], rows[4], rows[12], rows[8])
         assert green == kept
         assert all(e is k for e, k in zip(green, kept))
         kras, tp53, egfr, braf = (rows[i].mutation for i in (0, 3, 6, 8))
         assert list(g.mutations) == [kras, tp53, braf, egfr]
-        assert [g.vaf(e.patient_id, e.mutation) for e in kept] == [0.9, 0.3, 0.7, 0.5, 0.2]
+        assert [g.vaf(e.patient_id, e.mutation) for e in kept] == [0.9, 0.3, 0.7, 0.2, 0.5]
 
         def orphan(pid):
             return ingest.ReportEntry(
