@@ -3,11 +3,14 @@ survival bands, maximal coexisting-mutation sets, and the frequency and
 co-mutation tables.
 
 All of them read one profile layer: ``profiles_from_graph`` turns each
-patient's green edges into a ``MutationProfile``, a frozenset of items that
-are MutationKeys, or gene symbols at gene level. It is the only code that
-builds per-patient item sets; the knowledge check reads its cohort's
-profiles from it too. ``frequency_table``'s gene modes and the knowledge
-check's known set also downgrade a mutation to its gene.
+patient's green edges into a ``MutationProfile``, a sorted tuple of the
+patient's distinct items, which are MutationKeys, or gene symbols at gene
+level. It is the only code that builds per-patient item sets; the knowledge
+check reads its cohort's profiles from it too. Each analytic accepts any
+collection of distinct items as a profile's items (grouping needs it
+hashable), so a caller's frozenset profiles give the same answers.
+``frequency_table``'s gene modes and the knowledge check's known set also
+downgrade a mutation to its gene.
 
 Grouping is a similarity join over integer bitmasks: identical profiles
 merge, sizes rule out most pairs, and the rest must share one of their
@@ -23,14 +26,18 @@ import decimal
 import enum
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
+from collections.abc import Collection
 from fractions import Fraction
+from itertools import chain
 
 from . import errors
 from .graph import KnowledgeGraph, MutationKey, key_text
 
 
-# A patient's green neighborhood as a frozenset of mutation items: MutationKeys
-# at mutation granularity or gene symbols after a gene-level downgrade.
+# A patient's green neighborhood as a tuple of its distinct mutation items in
+# ascending order: MutationKeys at mutation granularity or gene symbols after
+# a gene-level downgrade. A tuple costs a fraction of a frozenset's memory,
+# and its order does not depend on the hash seed.
 MutationProfile = namedtuple("MutationProfile", "patient_id mutations")
 # Three frozensets of patient ids.
 SurvivalPartition = namedtuple("SurvivalPartition", "long_survivors short_deceased rest")
@@ -57,16 +64,17 @@ def profiles_from_graph(
 ) -> list[MutationProfile]:
     """Profiles of the given patients (default: all), ordered by patient id.
 
-    At gene level each mutation is downgraded to its gene symbol, so two
-    mutations of one gene make a single item.
+    Each profile's items are distinct and ascending: MutationKeys in key
+    order, or gene symbols at gene level, where each mutation is downgraded
+    to its gene, so two mutations of one gene make a single item.
     """
     if patient_ids is None:
         patient_ids = graph.patients.keys()
     out = []
     for pid in sorted(patient_ids):
         muts = graph.mutations_of_patient(pid)
-        items = frozenset(m.gene for m in muts) if gene_level else frozenset(muts)
-        out.append(MutationProfile(pid, items))
+        items = sorted({m.gene for m in muts} if gene_level else muts)
+        out.append(MutationProfile(pid, tuple(items)))
     return out
 
 
@@ -85,7 +93,7 @@ def _overlap_rule(metric: str, k: Fraction) -> tuple[int, int, int]:
     raise ValueError(f"unknown metric '{metric}'")
 
 
-def _joins(keys: list[frozenset], a: int, b: int, c: int):
+def _joins(keys: list[Collection], a: int, b: int, c: int):
     """For each profile j of ``keys`` (distinct, by ascending size), the
     earlier profiles within the distance of ``_overlap_rule``: every i below
     a bound, whose size alone decides, and a list of others.
@@ -160,7 +168,7 @@ def group_by_threshold(
     rule = _overlap_rule(metric, k)
     if strategy not in ("components", "cliques"):
         raise ValueError(f"unknown strategy '{strategy}'")
-    classes: dict[frozenset, list[str]] = {}
+    classes: dict[Collection, list[str]] = {}
     for p in profiles:
         classes.setdefault(p.mutations, []).append(p.patient_id)
     keys = sorted(classes, key=len)
@@ -271,12 +279,16 @@ def coexisting_mutation_sets(
     n = len(profiles)
     min_count = -(-(k * n) // 100)  # ceil(k*n/100): the least count reaching k%
 
-    tidsets: dict[object, int] = {}
+    # Only a frequent item gets a tidset: most items are rare, and each
+    # tidset is an int as wide as its last patient's bit.
+    support = Counter(chain.from_iterable(p.mutations for p in profiles))
+    items = sorted((i for i, c in support.items() if c >= min_count), key=key_text)
+    tidsets = dict.fromkeys(items, 0)
     for b, p in enumerate(profiles):
         for item in p.mutations:
-            tidsets[item] = tidsets.get(item, 0) | 1 << b
-    items = sorted((i for i, t in tidsets.items() if t.bit_count() >= min_count), key=key_text)
-    masks = [tidsets[i] for i in items]
+            if item in tidsets:
+                tidsets[item] |= 1 << b
+    masks = list(tidsets.values())
 
     out = []
     stack = [((1 << n) - 1, 0)]
@@ -325,12 +337,12 @@ def frequency_table(
         raise errors.EmptyPopulation("no profiles")
     if mode is FrequencyMode.GENE_WITHOUT_MULTIPLICITY:
         denominator = len(profiles)
-        counts = Counter(g for p in profiles for g in {_gene_of(i) for i in p.mutations})
+        counts = Counter(chain.from_iterable({_gene_of(i) for i in p.mutations} for p in profiles))
     else:
         denominator = sum(len(p.mutations) for p in profiles)
         if denominator == 0:
             raise errors.EmptyPopulation("profiles carry no mutations")
-        items = (i for p in profiles for i in p.mutations)
+        items = chain.from_iterable(p.mutations for p in profiles)
         counts = Counter(items if mode is FrequencyMode.MUTATION else map(_gene_of, items))
     # Two loci that render alike are two rows, in key order.
     rows = sorted(counts.items(), key=lambda r: (-r[1], key_text(r[0]), r[0]))

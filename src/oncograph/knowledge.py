@@ -83,7 +83,7 @@ def check_consistency(
         known = frozenset(m.gene for m in known)
     items = [p.mutations for p in profiles_from_graph(graph, cohort, gene_level)]
     union = frozenset().union(*items)
-    common = frozenset.intersection(*items) if items else frozenset()
+    common = frozenset(items[0]).intersection(*items[1:]) if items else frozenset()
     evidence = DiseaseEvidence(
         patients=cohort,
         union_mutations=union,

@@ -24,6 +24,7 @@ from oncograph.cohort import (
     format_percent,
     frequency_table,
     group_by_threshold,
+    profiles_from_graph,
     survival_partition,
 )
 
@@ -80,6 +81,31 @@ class TestDistances:
                 assert dist(a, c) <= dist(a, b) + dist(b, c)
         for a, b in combinations(ps, 2):
             assert 0 <= jaccard_distance(a, b) <= 1
+
+
+class TestProfilesFromGraph:
+    def test_items_are_distinct_and_ascending(self):
+        # P2's rows arrive out of key order, and two of them share a gene.
+        kras = make_mutation("KRAS", 12)
+        tp53_a, tp53_b = make_mutation("TP53", 7578406), make_mutation("TP53", 7577120)
+        rows = {"P2": [tp53_a, kras, tp53_b], "P1": [kras], "P3": []}
+        g = KnowledgeGraph()
+        for pid in rows:
+            g.add_node(PatientRecord(pid, 12, True))
+        for m in rows["P2"]:
+            g.add_node(m)
+        for pid, muts in rows.items():
+            g.add_edges([GeneticEdge(pid, m, 0.5) for m in muts])
+        for gene_level in (False, True):
+            want = [
+                MutationProfile(pid, tuple(sorted({m.gene if gene_level else m for m in muts})))
+                for pid, muts in sorted(rows.items())
+            ]
+            assert profiles_from_graph(g, gene_level=gene_level) == want
+        assert profiles_from_graph(g, ["P2"]) == [MutationProfile("P2", (kras, tp53_b, tp53_a))]
+        assert profiles_from_graph(g, ["P2"], gene_level=True) == [
+            MutationProfile("P2", ("KRAS", "TP53"))
+        ]
 
 
 class TestGrouping:
@@ -229,6 +255,40 @@ class TestGroupingOracle:
             group_by_threshold([prof("P1", "a")], "hamming", k, strategy)
 
 
+class TestProfileForms:
+    """A profile's items may be any collection of distinct items: the sorted
+    tuples of profiles_from_graph, a caller's frozensets or a tuple in any
+    order give every analytic the same answer."""
+
+    @staticmethod
+    def answers(profiles):
+        out = [
+            group_by_threshold(profiles, metric, k, strategy)
+            for metric, k in (("hamming", 0), ("hamming", 2), ("jaccard", Fraction(1, 2)))
+            for strategy in ("components", "cliques")
+        ]
+        out += [coexisting_mutation_sets(profiles, k) for k in (Fraction(1, 3), 25, 50, 100)]
+        for mode in FrequencyMode:
+            try:
+                out.append(frequency_table(profiles, mode, top_n=None))
+            except errors.EmptyPopulation as exc:
+                out.append(str(exc))
+        return out
+
+    def test_frozensets_and_tuples_answer_alike(self):
+        rng = random.Random(89)
+        for _ in range(150):
+            ps = random_profiles(rng)
+            want = self.answers(ps)
+            ascending = [MutationProfile(p.patient_id, tuple(sorted(p.mutations))) for p in ps]
+            assert self.answers(ascending) == want
+            shuffled = [
+                MutationProfile(p.patient_id, tuple(rng.sample(p.mutations, len(p.mutations))))
+                for p in ascending
+            ]
+            assert self.answers(shuffled) == want
+
+
 class TestSurvivalPartition:
     def make_graph(self, records):
         g = KnowledgeGraph()
@@ -306,12 +366,21 @@ class TestCoexistingSets:
     def test_oracle_equivalence_random(self):
         rng = random.Random(41)
         universe = list("abcdefghij")
-        for _ in range(40):
-            ps = [
-                prof(f"P{i}", *rng.sample(universe, rng.randint(0, 6)))
-                for i in range(rng.randint(1, 8))
-            ]
-            k = rng.choice([5, 10, 25, 40, 50, 75, 100])
+        cases = [
+            (
+                [
+                    prof(f"P{i}", *rng.sample(universe, rng.randint(0, 6)))
+                    for i in range(rng.randint(1, 8))
+                ],
+                rng.choice([5, 10, 25, 40, 50, 75, 100]),
+            )
+            for _ in range(40)
+        ]
+        # Each patient also carries two items of its own, so most items
+        # fall short of every min_count above one patient.
+        private = [prof(f"P{i}", f"u{i}", f"v{i}", *universe[i % 3 : 3]) for i in range(5)]
+        cases += [(private, k) for k in (5, 20, 40, 60, 100)]
+        for ps, k in cases:
             got = {c.mutations: c.supporting_patients for c in coexisting_mutation_sets(ps, k)}
             want = brute_force_coexist(ps, k)
             assert got == want

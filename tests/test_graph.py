@@ -828,16 +828,16 @@ class TestDowngrade:
         return profile.mutations
 
     def test_kras(self):
-        assert self.gene_profile(KRAS_MUT) == {"KRAS"}
+        assert self.gene_profile(KRAS_MUT) == ("KRAS",)
 
     def test_tert(self):
-        assert self.gene_profile(TERT_MUT) == {"TERT"}
+        assert self.gene_profile(TERT_MUT) == ("TERT",)
 
     def test_two_tp53_mutations_share_symbol(self):
         a = MutationKey("TP53", "17", 7578406, 7578406)
         b = MutationKey("TP53", "17", 7577120, 7577120)
-        assert self.gene_profile(a, b) == {"TP53"}
-        assert self.gene_profile(a, b, KRAS_MUT) == {"TP53", "KRAS"}
+        assert self.gene_profile(a, b) == ("TP53",)
+        assert self.gene_profile(a, b, KRAS_MUT) == ("KRAS", "TP53")
 
 
 class TestRecords:
