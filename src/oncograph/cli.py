@@ -148,7 +148,7 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
         except (errors.MissingColumn, errors.InvalidEncoding) as exc:
             print(str(exc), file=sys.stderr)
             raise SystemExit(EXIT_IO)
-        if not mut.rows and mut.data_lines == 0:
+        if not mut.data_lines:
             print("warning: mutation table has no data rows", file=sys.stderr)
         g, build_report = ingest.build_graph(
             mut.rows, cli.rows, gda.rows, drg.rows, trt.rows if trt else None
@@ -164,16 +164,13 @@ def _load(args) -> tuple[kg.KnowledgeGraph, list[ingest.ReportEntry]]:
     return g, report
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out or ".", exist_ok=True)  # an empty --out is the working directory
-    return args.out
-
-
-def _write_tsv(path: str, header: list[str], rows) -> None:
-    """Write a TSV atomically: into a temp file beside ``path``, then
-    ``os.replace`` it, so a failure leaves the previous file as it was."""
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+def _write_tsv(out_dir: str, name: str, header: list[str], rows) -> None:
+    """Write a TSV atomically: into a temp file in ``out_dir``, then
+    ``os.replace`` it, so a failure leaves the previous file as it was.
+    ``out_dir`` is made here, so a command that fails first leaves none."""
+    os.makedirs(out_dir or ".", exist_ok=True)  # an empty --out is the working directory
+    path = os.path.join(out_dir, name)
+    tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\t".join(header) + "\n")
@@ -191,9 +188,8 @@ def _write_tsv(path: str, header: list[str], rows) -> None:
 
 def cmd_build(args) -> int:
     g, report = _load(args)
-    out = _outdir(args)
     _write_tsv(
-        os.path.join(out, "build_report.tsv"),
+        args.out, "build_report.tsv",
         ["file", "line", "severity", "message"],
         ((e.file, e.line, e.severity, e.message) for e in report),
     )
@@ -215,7 +211,6 @@ def cmd_check(args) -> int:
         print(f"--gda-threshold {threshold} must be in [0, 1]", file=sys.stderr)
         return EXIT_USAGE
     g, _ = _load(args)
-    out = _outdir(args)
     rows = []
     for disease_id in sorted(g.diseases):
         evidence, verdict = knowledge.check_consistency(
@@ -236,7 +231,7 @@ def cmd_check(args) -> int:
             )
         )
     _write_tsv(
-        os.path.join(out, "knowledge_check.tsv"),
+        args.out, "knowledge_check.tsv",
         [
             "disease", "n_patients", "n_union", "n_common", "n_known",
             "status", "n_missing_from_knowledge", "n_unsupported_knowledge",
@@ -259,10 +254,9 @@ def cmd_cohort(args) -> int:
         return EXIT_USAGE
     from . import cohort as co
     g, _ = _load(args)
-    out = _outdir(args)
     bands = _survival_bands(g, args.t_long, args.t_short)
     _write_tsv(
-        os.path.join(out, "survival_bands.tsv"),
+        args.out, "survival_bands.tsv",
         ["patient_id", "band"],
         sorted((pid, band) for band, pids in bands.items() for pid in pids),
     )
@@ -271,7 +265,7 @@ def cmd_cohort(args) -> int:
         profiles, metric=args.metric, k=k, strategy=args.strategy
     )
     _write_tsv(
-        os.path.join(out, "profile_groups.tsv"),
+        args.out, "profile_groups.tsv",
         ["group", "size", "patients"],
         (
             (i + 1, len(grp), ",".join(grp))
@@ -308,21 +302,14 @@ def cmd_freq(args) -> int:
         return EXIT_USAGE
     from . import cohort as co
     g, _ = _load(args)
-    out = _outdir(args)
-    ids = None
-    if args.disease:
-        try:
-            ids = g.patients_of_disease(args.disease)
-        except errors.UnknownDisease:
-            print(f"unknown disease {args.disease}", file=sys.stderr)
-            return EXIT_DOMAIN
+    ids = g.patients_of_disease(args.disease) if args.disease else None
     if args.band != "all":
         band_ids = _survival_bands(g, args.t_long, args.t_short)[args.band]
-        ids = band_ids if ids is None else (set(ids) & band_ids)
+        ids = band_ids if ids is None else ids & band_ids
     profiles = co.profiles_from_graph(g, patient_ids=ids)
     rows = co.frequency_table(profiles, mode=co.FrequencyMode(args.mode), top_n=args.top_n)
     _write_tsv(
-        os.path.join(out, "frequency.tsv"),
+        args.out, "frequency.tsv",
         ["item", "percent"],
         ((name, co.format_percent(pct)) for name, pct in rows),
     )
@@ -335,11 +322,10 @@ def cmd_coexist(args) -> int:
         return EXIT_USAGE
     from . import cohort as co
     g, _ = _load(args)
-    out = _outdir(args)
     profiles = co.profiles_from_graph(g, gene_level=args.granularity == "gene")
     sets = co.coexisting_mutation_sets(profiles, args.k)
     _write_tsv(
-        os.path.join(out, "coexisting_sets.tsv"),
+        args.out, "coexisting_sets.tsv",
         ["mutations", "support_percent", "n_patients", "patients"],
         (
             (
@@ -360,19 +346,11 @@ def cmd_treat(args) -> int:
         return EXIT_USAGE
     from . import hitting_set as hs
     g, _ = _load(args)
-    out = _outdir(args)
     # A target names one of the patient's mutations, the least by key of two
-    # that render alike. An unknown patient or mutation exits 3 here; one the
-    # patient does not carry, or an untargetable one, exits 3 in main.
-    if args.patient not in g.patients:
-        print(f"unknown patient {args.patient}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # that render alike. An unknown patient or mutation, one the patient does
+    # not carry, or an untargetable one exits 3 in main.
     own = {m.display(): m for m in sorted(g.mutations_of_patient(args.patient), reverse=True)}
-    try:
-        targets = [own.get(t) or g.mutation_by_display(t) for t in args.targets.split(",") if t]
-    except errors.UnknownMutation as exc:
-        print(f"unknown mutation {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    targets = [own.get(t) or g.mutation_by_display(t) for t in args.targets.split(",") if t]
     instance = hs.build_instance(g, args.patient, targets)
     solution = (
         hs.solve_min_weight(instance)
@@ -380,7 +358,7 @@ def cmd_treat(args) -> int:
         else hs.solve_min_cardinality(instance)
     )
     _write_tsv(
-        os.path.join(out, "treatment.tsv"),
+        args.out, "treatment.tsv",
         ["drug", "weight"],
         ((d, instance.weights[d]) for d in sorted(solution.drugs)),
     )

@@ -377,7 +377,7 @@ def co_mutation_survival_table(
     genes = {m.gene for m in graph.mutations}
     for gene in gene_pair:
         if gene not in genes:
-            raise errors.UnknownGene(gene)
+            raise errors.UnknownGene("gene", gene)
     cohort = [
         p for p in profiles_from_graph(graph, gene_level=True)
         if gene_pair[0] in p.mutations and gene_pair[1] in p.mutations

@@ -22,19 +22,23 @@ class InvalidLabel(OncographError):
 
 
 class UnknownNode(OncographError):
-    pass
+    """``UnknownNode(kind, key)``, a key that names nothing in the graph, reads
+    ``unknown <kind> <key>``: ``unknown patient NOPE``, ``unknown drug NOPE``."""
+
+    def __str__(self):
+        return "unknown {} {}".format(*self.args)
 
 
 class UnknownDisease(UnknownNode):
-    pass
+    """``unknown disease <id>``."""
 
 
 class UnknownMutation(UnknownNode):
-    pass
+    """``unknown mutation <display form>``."""
 
 
 class UnknownGene(UnknownNode):
-    pass
+    """``unknown gene <symbol>``."""
 
 
 class InvalidThresholds(OncographError):

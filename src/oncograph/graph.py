@@ -16,12 +16,14 @@ gate writes to a graph, and ``validate`` replays a graph through it.
 Each edge type has one store, its edges' only copy. A type whose pairs may
 not repeat keeps first key -> {second key: edge}: patient -> mutations,
 disease -> patients, disease -> mutations and mutation -> drugs. Duplicate
-checks and queries are lookups in these stores, and a query reads a label
-(VAF, GDA score) off the stored edge. A repeated pair raises, or goes to
-the caller's ``repeat`` policy, which keeps the held edge or puts the new
-one in its slot. Treatments may repeat and no query reads them, so their
-store is a list, and a color's edge records are read off its types'
-stores; the graph keeps no other index, none by gene.
+checks and queries are lookups in these stores: a neighbourhood query
+returns a live read-only view of its store's keys, not a copy, a query
+reads a label (VAF, GDA score) off the stored edge, and a key that names
+no node raises ``UnknownNode``. A repeated pair raises, or goes to the
+caller's ``repeat`` policy, which keeps the held edge or puts the new one
+in its slot. Treatments may repeat and no query reads them, so their store
+is a list, and a color's edge records are read off its types' stores; the
+graph keeps no other index, none by gene.
 
 The build phase is single-writer; once constructed, all queries are pure
 reads and safe for concurrent use.
@@ -146,6 +148,8 @@ _EDGE_KINDS = {
 # Each color's edge types, in the order above.
 _TYPES_OF = {c: [t for t, kind in _EDGE_KINDS.items() if kind.color is c] for c in EdgeColor}
 
+_NO_EDGES = MappingProxyType({})  # what a key with no edges of a type maps to
+
 # Each node type's partition and the field holding its key (None: the node is the key).
 _NODE_KINDS = {
     PatientRecord: (Partition.PATIENT, "patient_id"),
@@ -188,19 +192,19 @@ class KnowledgeGraph:
         try:
             return self._patients[patient_id]
         except KeyError:
-            raise errors.UnknownNode(f"patient {patient_id}") from None
+            raise errors.UnknownNode("patient", patient_id) from None
 
     def disease(self, disease_id: str) -> DiseaseNode:
         try:
             return self._diseases[disease_id]
         except KeyError:
-            raise errors.UnknownDisease(disease_id) from None
+            raise errors.UnknownDisease("disease", disease_id) from None
 
     def drug(self, drug_id: str) -> DrugNode:
         try:
             return self._drugs[drug_id]
         except KeyError:
-            raise errors.UnknownNode(f"drug {drug_id}") from None
+            raise errors.UnknownNode("drug", drug_id) from None
 
     @property
     def patients(self) -> Mapping[str, PatientRecord]:
@@ -225,7 +229,7 @@ class KnowledgeGraph:
         for mutation in self._mutations:  # in insertion order
             if mutation.display() == text:
                 return mutation
-        raise errors.UnknownMutation(text)
+        raise errors.UnknownMutation("mutation", text)
 
     def partition_sizes(self) -> dict[str, int]:
         names = ("Pa", "Mu", "Di", "Dr")  # in Partition order, as _nodes is
@@ -289,13 +293,13 @@ class KnowledgeGraph:
     # ------------------------------------------------------------------
     # Queries
 
-    def mutations_of_patient(self, patient_id: str) -> set[MutationKey]:
+    def mutations_of_patient(self, patient_id: str) -> KeysView[MutationKey]:
         self.patient(patient_id)
-        return set(self._edges[GeneticEdge].get(patient_id, ()))
+        return self._edges[GeneticEdge].get(patient_id, _NO_EDGES).keys()
 
-    def patients_of_disease(self, disease_id: str) -> set[str]:
+    def patients_of_disease(self, disease_id: str) -> KeysView[str]:
         self.disease(disease_id)
-        return set(self._edges[DiagnosisEdge].get(disease_id, ()))
+        return self._edges[DiagnosisEdge].get(disease_id, _NO_EDGES).keys()
 
     def gda_scores(self, disease_id: str) -> dict[MutationKey, Fraction]:
         """The mutations of a disease's magenta edges, with their GDA scores."""
@@ -303,11 +307,11 @@ class KnowledgeGraph:
         edges = self._edges[GdaAssociation].get(disease_id, {})
         return {m: e.gda_score for m, e in edges.items()}
 
-    def target_drugs(self, mutation: MutationKey) -> set[str]:
+    def target_drugs(self, mutation: MutationKey) -> KeysView[str]:
         """Drugs with a known effect on the mutation (its magenta drug edges)."""
         if mutation not in self._mutations:
-            raise errors.UnknownMutation(mutation.display())
-        return set(self._edges[TargetEdge].get(mutation, ()))
+            raise errors.UnknownMutation("mutation", mutation.display())
+        return self._edges[TargetEdge].get(mutation, _NO_EDGES).keys()
 
     def vaf(self, patient_id: str, mutation: MutationKey) -> Fraction | None:
         """The VAF on the patient's green edge to ``mutation`` (a Fraction from ingest) or None."""

@@ -100,12 +100,16 @@ DrugTargetTableRow = namedtuple(
 
 
 class ParseResult:
-    """A table's rows and issues, filled in as it is read, and its count of data lines."""
+    """A table's rows and issues, filled in as it is read: each data line
+    gives one row or one issue."""
 
     def __init__(self) -> None:
         self.rows: list = []
         self.issues: list[ReportEntry] = []
-        self.data_lines = 0
+
+    @property
+    def data_lines(self) -> int:
+        return len(self.rows) + len(self.issues)
 
 
 def _open(source) -> tuple:
@@ -143,7 +147,6 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     names = [*required, *optional]
     n_required = len(required)
     rows, issues, strip = result.rows, result.issues, str.strip
-    data_lines = 0
     try:
         pick = None
         for lineno, raw in enumerate(stream, start=1):
@@ -166,7 +169,6 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
                     for c in (*required.values(), *optional.values())
                 ))
                 continue
-            data_lines += 1
             if len(cells) != width:
                 cells = (cells + [""] * width)[:width]
             cells.append("")
@@ -197,7 +199,6 @@ def _parse_table(source, columns: tuple[dict, dict], row_fn) -> ParseResult:
     finally:
         if close:
             stream.close()
-    result.data_lines = data_lines
     return result
 
 

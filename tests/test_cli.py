@@ -149,6 +149,10 @@ class TestExitCodes:
         assert run(["freq", "--disease", "NOPE"] + fixture_args(tmp_path)) == 3
         assert capsys.readouterr().err == "unknown disease NOPE\n"
         assert not (tmp_path / "frequency.tsv").exists()
+        # A failed command leaves no new output directory behind.
+        assert run(["freq", "--disease", "NOPE"] + fixture_args(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == "unknown disease NOPE\n"
+        assert not (tmp_path / "out").exists()
 
     def test_freq_of_the_long_band(self, tmp_path):
         # P1 (40 months) and P2 (36) are the long survivors of the fixture.
@@ -250,6 +254,11 @@ class TestTreat:
         ]
         assert run(["treat"] + args) == 3
         assert capsys.readouterr().err == "unknown patient NOPE\n"
+        # A failed command leaves no new output directory behind.
+        targets = ["--patient", "NOPE", "--targets", "KRAS_12_25398284_25398284"]
+        assert run(["treat"] + fixture_args(tmp_path / "out") + targets) == 3
+        assert capsys.readouterr().err == "unknown patient NOPE\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_mutation_is_3(self, tmp_path, capsys):
         args = fixture_args(tmp_path) + ["--patient", "P1", "--targets", "NOPE_1_1_1"]
@@ -606,7 +615,7 @@ class TestParseBoundary:
 class TestAtomicOutput:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "frequency.tsv"
-        cli._write_tsv(path, ["item", "percent"], [("KRAS", "50.0")])
+        cli._write_tsv(tmp_path, "frequency.tsv", ["item", "percent"], [("KRAS", "50.0")])
         before = path.read_bytes()
 
         def rows():
@@ -614,7 +623,7 @@ class TestAtomicOutput:
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError):
-            cli._write_tsv(path, ["item", "percent"], rows())
+            cli._write_tsv(tmp_path, "frequency.tsv", ["item", "percent"], rows())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["frequency.tsv"]
 

@@ -219,6 +219,23 @@ class TestClosedGraph:
             g.edge_records(color).append(GeneticEdge("P2", KRAS_MUT, 0.3))
         assert g.edge_counts() == {"green": 1, "red": 0, "magenta": 0}
 
+    @pytest.mark.parametrize(
+        "query, key",
+        [("mutations_of_patient", "P1"), ("patients_of_disease", "D1"), ("target_drugs", KRAS_MUT)],
+    )
+    @pytest.mark.parametrize("with_edges", [True, False], ids=["store", "shared-empty"])
+    def test_neighbourhood_queries_are_read_only_views(self, query, key, with_edges):
+        g = small_graph()
+        if with_edges:
+            g.add_edges([GeneticEdge("P1", KRAS_MUT), DiagnosisEdge("D1", "P1"),
+                         TargetEdge(KRAS_MUT, "drugA")])
+        result = getattr(g, query)(key)
+        assert not hasattr(result, "add")
+        with pytest.raises(TypeError):
+            result.mapping["X"] = None
+        assert "X" not in getattr(g, query)(key)
+        assert validate(g) == []
+
 
 def add_random_treatments(g, rng):
     for pid in g.patients:
@@ -401,9 +418,9 @@ class TestNeighbors:
     @pytest.mark.parametrize(
         "query, key, exc, text",
         [
-            ("drug", "NOPE", errors.UnknownNode, "drug NOPE"),
+            ("drug", "NOPE", errors.UnknownNode, "unknown drug NOPE"),
             ("target_drugs", MutationKey("GHOST", "9", 5, 5), errors.UnknownMutation,
-             "GHOST_9_5_5"),
+             "unknown mutation GHOST_9_5_5"),
         ],
     )
     def test_unknown_key(self, query, key, exc, text):
@@ -413,6 +430,31 @@ class TestNeighbors:
 
 
 GHOST_MUT = MutationKey("GHOST", "9", 5, 5)
+
+
+@pytest.mark.parametrize(
+    "lookup, exc, text",
+    [
+        (lambda g: g.mutations_of_patient("NOPE"), errors.UnknownNode, "unknown patient NOPE"),
+        (lambda g: g.drug("NOPE"), errors.UnknownNode, "unknown drug NOPE"),
+        (lambda g: g.patients_of_disease("NOPE"), errors.UnknownDisease, "unknown disease NOPE"),
+        (lambda g: g.target_drugs(GHOST_MUT), errors.UnknownMutation,
+         "unknown mutation GHOST_9_5_5"),
+        (lambda g: g.mutation_by_display("NOPE_1_1_1"), errors.UnknownMutation,
+         "unknown mutation NOPE_1_1_1"),
+        (lambda g: cohort.co_mutation_survival_table(g, ("KRAS", "NOPE")), errors.UnknownGene,
+         "unknown gene NOPE"),
+    ],
+    ids=["patient", "drug", "disease", "mutation-key", "mutation-display", "gene"],
+)
+def test_an_unknown_name_reads_unknown_kind_key(lookup, exc, text):
+    # The CLI prints these texts as they are, and exits 3.
+    with pytest.raises(errors.UnknownNode) as raised:
+        lookup(small_graph())
+    assert type(raised.value) is exc
+    assert str(raised.value) == text
+
+
 COLOR_OF = {
     GeneticEdge: EdgeColor.GREEN,
     DiagnosisEdge: EdgeColor.RED,
