@@ -415,12 +415,16 @@ class TestNeighbors:
         g.add_edges([TargetEdge(KRAS_MUT, "drugB")])
         assert g.target_drugs(KRAS_MUT) == {"drugA", "drugB"}
 
+    # The ids predate the ``unknown <kind>`` prefix; they are kept so the
+    # test names stay stable.
     @pytest.mark.parametrize(
         "query, key, exc, text",
         [
-            ("drug", "NOPE", errors.UnknownNode, "unknown drug NOPE"),
-            ("target_drugs", MutationKey("GHOST", "9", 5, 5), errors.UnknownMutation,
-             "unknown mutation GHOST_9_5_5"),
+            pytest.param("drug", "NOPE", errors.UnknownNode, "unknown drug NOPE",
+                         id="drug-NOPE-UnknownNode-drug NOPE"),
+            pytest.param("target_drugs", MutationKey("GHOST", "9", 5, 5), errors.UnknownMutation,
+                         "unknown mutation GHOST_9_5_5",
+                         id="target_drugs-key1-UnknownMutation-GHOST_9_5_5"),
         ],
     )
     def test_unknown_key(self, query, key, exc, text):
